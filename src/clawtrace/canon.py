@@ -23,14 +23,21 @@ from .graph import Graph, bits, popcount, relabel
 MAX_CANONICAL = 16
 
 
+def vertex_keys(g: Graph) -> list[tuple[int, int]]:
+    """(degree, triangles through v) for each vertex v.  The initial
+    partition sorts by this key and the search only ever splits cells in
+    place, so canonical labels increase with it."""
+    adj = g.adj
+    return [
+        (row.bit_count(), sum((row & adj[u]).bit_count() for u in bits(row)) // 2)
+        for row in adj
+    ]
+
+
 def _initial_cells(g: Graph) -> tuple[tuple[int, ...], ...]:
-    tri = []
-    for v in range(g.n):
-        t = sum(popcount(g.adj[v] & g.adj[u]) for u in bits(g.adj[v]))
-        tri.append(t // 2)
     groups: dict[tuple[int, int], list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault((g.degree(v), tri[v]), []).append(v)
+    for v, key in enumerate(vertex_keys(g)):
+        groups.setdefault(key, []).append(v)
     return tuple(tuple(groups[key]) for key in sorted(groups))
 
 

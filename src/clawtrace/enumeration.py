@@ -6,8 +6,11 @@ attaching one new vertex to each parent of order k, and a child is kept only
 when deleting its canonically chosen removable vertex gives back exactly that
 parent.  Each isomorphism class therefore appears once, produced from one
 parent class, and hereditary predicates (claw-free, net-free, and the
-extended-net filter) prune the tree at every level.  Non-hereditary
-predicates (closed, two-connected) only gate emission at the final order.
+extended-net filter) prune the tree at every level.  A (degree, triangle)
+key rejects most children before any canonical search, and each remaining
+child is labelled once.  Non-hereditary predicates (closed, two-connected)
+only gate emission.  One sweep builds every level once and yields the
+classes of each requested order in turn.
 
 Sample mode starts from the complete graph and deletes uniformly chosen
 edges, rejecting deletions that create an induced claw or disconnect the
@@ -16,24 +19,26 @@ verifiers probe.
 """
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from multiprocessing import Pool
-from typing import Callable
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
-from .canon import canonical_form, canonical_labeling
+from .canon import canonical_form, canonical_labeling, vertex_keys
 from .errors import InfeasibleSpec, InvalidParams, TargetUnreachable
 from .families import graph_m, net
 from .graph import (
     Graph,
     bits,
-    block_decomposition,
     from_edges,
     induced,
     is_connected,
     is_two_connected,
+    mask_connected,
     popcount,
+    relabel,
 )
 from . import graph6
 from .structure import find_induced, is_claw_free, is_closed
@@ -121,22 +126,40 @@ def _claw_free_extension_ok(p: Graph, attach_mask: int) -> bool:
     return True
 
 
-def _removal_rule_vertex(child: Graph, connected: bool) -> int:
-    """The canonically chosen vertex whose deletion defines the parent:
-    highest canonical label, restricted to non-cut vertices when generating
-    connected graphs."""
-    labels = canonical_labeling(child)[1]
-    allowed = child.vertex_mask
-    if connected:
-        allowed &= ~block_decomposition(child).cut_vertices
-    return max(bits(allowed), key=lambda v: labels[v])
+def _rule_candidates(child: Graph, connected: bool) -> list[int]:
+    """The allowed vertices (non-cut ones when generating connected graphs)
+    with the new vertex's key; the removal-rule vertex r, the allowed vertex
+    of highest canonical label, is one of them whenever the child can be
+    kept, and [] means reject.
+
+    Canonical labels increase with the (degree, triangle) key, so r has the
+    largest key among the allowed vertices; child - r ~ parent = child - new
+    forces key(r) = key(new).  This is the cheap-invariant step of McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 26 (1998).
+    """
+    keys = vertex_keys(child)
+    key = keys[-1]
+
+    def allowed(v: int) -> bool:
+        return not connected or mask_connected(child, child.vertex_mask & ~(1 << v))
+
+    if any(k > key and allowed(v) for v, k in enumerate(keys)):
+        return []
+    return [v for v, k in enumerate(keys) if k == key and allowed(v)]
 
 
 def _expand_parent(parent: Graph, chain: tuple[str, ...]) -> list[Graph]:
-    """All accepted children of one parent, deterministically ordered."""
+    """All accepted children of one parent, deterministically ordered.
+
+    A child is kept when deleting its removal-rule vertex gives back a graph
+    isomorphic to the parent, and it is not isomorphic to a sibling already
+    kept.  Each surviving child is labelled once; the labelling gives both
+    the rule vertex and the child's canonical form.
+    """
     connected = "connected" in chain
     claw = "claw-free" in chain
     lo = 1 if connected else 0
+    parent_form = canonical_form(parent)
     seen: set[str] = set()
     out: list[Graph] = []
     for mask in range(lo, 1 << parent.n):
@@ -147,12 +170,16 @@ def _expand_parent(parent: Graph, chain: tuple[str, ...]) -> list[Graph]:
             continue
         if "m-free" in chain and find_induced(child, _M) is not None:
             continue
-        rule = _removal_rule_vertex(child, connected)
+        candidates = _rule_candidates(child, connected)
+        if not candidates:
+            continue
+        labels = canonical_labeling(child)[1]
+        rule = max(candidates, key=labels.__getitem__)
         if rule != parent.n:
             kept = child.vertex_mask & ~(1 << rule)
-            if canonical_form(induced(child, kept)) != canonical_form(parent):
+            if canonical_form(induced(child, kept)) != parent_form:
                 continue
-        cf = canonical_form(child)
+        cf = graph6.encode(relabel(child, labels))
         if cf in seen:
             continue
         seen.add(cf)
@@ -173,57 +200,93 @@ def _emission_ok(g: Graph, chain: tuple[str, ...]) -> bool:
     return True
 
 
-def _load_checkpoint(path: str | None) -> dict[str, list[str]]:
-    done: dict[str, list[str]] = {}
-    if path is None:
-        return done
+CHECKPOINT_VERSION = 2
+
+
+def _open_checkpoint(
+    path: str, n: int, chain: tuple[str, ...]
+) -> tuple[dict[str, list[str]], TextIO]:
+    """Read the finished parents of a checkpoint and open it for appending.
+
+    The first line names the format version, the order and the predicate
+    chain; a file written for another run raises InfeasibleSpec.  Each
+    parent line ends with its child count, so a line torn by an interrupted
+    write fails the count and is ignored (its parent is expanded again).
+    """
+    header = f"clawtrace-checkpoint v{CHECKPOINT_VERSION} n={n} chain={','.join(sorted(chain))}"
     try:
         with open(path, encoding="ascii") as fh:
-            for line in fh:
-                parts = line.split()
-                if parts:
-                    done[parts[0]] = parts[1:]
+            text = fh.read()
     except FileNotFoundError:
-        pass
-    return done
+        text = ""
+    except UnicodeDecodeError:
+        raise InfeasibleSpec(f"checkpoint {path!r} is not a clawtrace checkpoint") from None
+    lines = text.splitlines()
+    if lines and lines[0] != header:
+        raise InfeasibleSpec(
+            f"checkpoint {path!r} belongs to another run: "
+            f"found {lines[0][:80]!r}, expected {header!r}"
+        )
+    done: dict[str, list[str]] = {}
+    for line in lines[1:]:
+        parts = line.split()
+        if len(parts) >= 2 and parts[-1].isdigit() and int(parts[-1]) == len(parts) - 2:
+            done[parts[0]] = parts[1:-1]
+    fh = open(path, "a", encoding="ascii")
+    if not lines:
+        print(header, file=fh, flush=True)
+    elif not text.endswith("\n"):
+        print(file=fh, flush=True)  # keep the torn line on a line of its own
+    return done, fh
 
 
 def _expand_level(
     parents: list[Graph],
     chain: tuple[str, ...],
-    workers: int,
-    checkpoint: str | None,
+    imap: Callable[..., Iterator[list[str]]],
+    done: dict[str, list[str]],
+    ck: TextIO | None,
 ) -> list[Graph]:
-    """One augmentation level.  The checkpoint file holds one line per
-    finished parent (parent graph6 followed by its children), so an
-    interrupted run resumes without redoing completed branches."""
-    done = _load_checkpoint(checkpoint)
+    """One augmentation level.  Parents in `done` (read from a checkpoint)
+    are not expanded again; with a checkpoint file `ck`, each newly finished
+    parent is appended as one line: its graph6, its children's graph6 and
+    their count."""
     parent_lines = [graph6.encode(p) for p in parents]
     todo = [line for line in parent_lines if line not in done]
     results: dict[str, list[str]] = dict(done)
-    ck = open(checkpoint, "a", encoding="ascii") if checkpoint else None
-    try:
-        if workers > 1 and len(todo) > 1:
-            with Pool(workers) as pool:
-                for line, kids in zip(
-                    todo, pool.map(_expand_task, [(line, chain) for line in todo])
-                ):
-                    results[line] = kids
-                    if ck:
-                        print(line, *kids, file=ck, flush=True)
-        else:
-            for line in todo:
-                kids = _expand_task((line, chain))
-                results[line] = kids
-                if ck:
-                    print(line, *kids, file=ck, flush=True)
-    finally:
+    for line, kids in zip(todo, imap(_expand_task, [(line, chain) for line in todo])):
+        results[line] = kids
         if ck:
-            ck.close()
+            print(line, *kids, len(kids), file=ck, flush=True)
     merged: list[Graph] = []
     for line in parent_lines:
         merged.extend(graph6.decode(k) for k in results[line])
     return merged
+
+
+def exhaustive_orders(
+    chain: tuple[str, ...],
+    n_min: int,
+    n_max: int,
+    workers: int = 1,
+    checkpoint: str | None = None,
+) -> Iterator[list[Graph]]:
+    """The emitted classes of each order n_min..n_max in turn, from one
+    augmentation sweep: every level is built once, however many orders are
+    read, and one worker pool serves all levels.  The checkpoint applies to
+    the last (most expensive) level only."""
+    with ExitStack() as stack:
+        imap = stack.enter_context(Pool(workers)).imap if workers > 1 else map
+        frontier = [from_edges(1, ())]
+        for order in range(1, n_max + 1):
+            if order > 1:
+                done, ck = {}, None
+                if checkpoint is not None and order == n_max:
+                    done, ck = _open_checkpoint(checkpoint, n_max, chain)
+                    stack.enter_context(ck)
+                frontier = _expand_level(frontier, chain, imap, done, ck)
+            if order >= n_min:
+                yield [g for g in frontier if _emission_ok(g, chain)]
 
 
 def enumerate_graphs(
@@ -242,18 +305,9 @@ def enumerate_graphs(
     _validate(spec)
     if isinstance(spec.mode, Sample):
         return _run_sample(spec, consumer)
-    frontier = [from_edges(1, ())]
-    for order in range(1, spec.n):
-        last = order == spec.n - 1
-        frontier = _expand_level(
-            frontier,
-            spec.predicate_chain,
-            workers,
-            checkpoint if last else None,
-        )
     count = 0
-    for g in frontier:
-        if _emission_ok(g, spec.predicate_chain):
+    for graphs in exhaustive_orders(spec.predicate_chain, spec.n, spec.n, workers, checkpoint):
+        for g in graphs:
             consumer(g)
             count += 1
     return count

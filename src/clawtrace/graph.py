@@ -31,7 +31,7 @@ def bits(mask: VertexSet):
 
 
 def popcount(mask: VertexSet) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 @dataclass(frozen=True)

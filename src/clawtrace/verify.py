@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional
@@ -29,9 +30,9 @@ from .canon import MAX_CANONICAL, canonical_form
 from .enumeration import (
     MAX_EXHAUSTIVE,
     EnumSpec,
-    Exhaustive,
     Sample,
     enumerate_graphs,
+    exhaustive_orders,
 )
 from .errors import (
     InfeasibleRange,
@@ -676,45 +677,47 @@ def verify(
     borderline: list[str] = []
     orders = list(range(n_min, n_max + 1))
     per_order = _split_count(count, len(orders)) if sampling else None
+    # created unstarted: only the exhaustive branch ever advances it
+    sweep = exhaustive_orders(spec.chain, n_min, n_max, workers)
+    with closing(sweep):
+        for idx, n in enumerate(orders):
+            ctx = _Context(n, cmp_tol, lambda g: borderline.append(_render(g)))
 
-    for idx, n in enumerate(orders):
-        ctx = _Context(n, cmp_tol, lambda g: borderline.append(_render(g)))
+            def consume(g: Graph, ctx=ctx) -> None:
+                nonlocal checked
+                checked += 1
+                verdict = spec.hypothesis(g, ctx)
+                if verdict == BORDER:
+                    borderline.append(_render(g))
+                if verdict == NO:
+                    return
+                concl = spec.conclusion(g, ctx)
+                if concl is True:
+                    return
+                # violated or undecided: match against the declared exceptions
+                label = "Unmatched"
+                if spec.exception_rule == "pendant-spanning-subgraph":
+                    if is_spanning_subgraph_of_pendant_family(g):
+                        label = "SpanningSubgraphOfPendantFamily"
+                elif g.n <= MAX_CANONICAL:
+                    fam = match_exception(g, spec.exception_families(n))
+                    if fam is not None:
+                        label = fam.label()
+                elif _is_pendant_family(g):
+                    label = FamilySpec("Nn33", (g.n,)).label()
+                exceptions.append((_render(g), label))
 
-        def consume(g: Graph, ctx=ctx) -> None:
-            nonlocal checked
-            checked += 1
-            verdict = spec.hypothesis(g, ctx)
-            if verdict == BORDER:
-                borderline.append(_render(g))
-            if verdict == NO:
-                return
-            concl = spec.conclusion(g, ctx)
-            if concl is True:
-                return
-            # violated or undecided: match against the declared exceptions
-            label = "Unmatched"
-            if spec.exception_rule == "pendant-spanning-subgraph":
-                if is_spanning_subgraph_of_pendant_family(g):
-                    label = "SpanningSubgraphOfPendantFamily"
-            elif g.n <= MAX_CANONICAL:
-                fam = match_exception(g, spec.exception_families(n))
-                if fam is not None:
-                    label = fam.label()
-            elif _is_pendant_family(g):
-                label = FamilySpec("Nn33", (g.n,)).label()
-            exceptions.append((_render(g), label))
-
-        if spec.family_sweep is not None:
-            for g in spec.family_sweep(n):
-                consume(g)
-        elif sampling:
-            enum_spec = EnumSpec(
-                n, spec.chain, Sample(per_order[idx], seed + n, density)
-            )
-            enumerate_graphs(enum_spec, consume, workers=workers)
-        else:
-            enum_spec = EnumSpec(n, spec.chain, Exhaustive())
-            enumerate_graphs(enum_spec, consume, workers=workers)
+            if spec.family_sweep is not None:
+                for g in spec.family_sweep(n):
+                    consume(g)
+            elif sampling:
+                enum_spec = EnumSpec(
+                    n, spec.chain, Sample(per_order[idx], seed + n, density)
+                )
+                enumerate_graphs(enum_spec, consume, workers=workers)
+            else:
+                for g in next(sweep):
+                    consume(g)
 
     exceptions.sort()
     borderline.sort()

@@ -41,3 +41,20 @@ G6_GRAPH_L = "F@QHw"
 G6_HUB_SPLIT_7 = "F@K~w"     # K_1 v (K_4 + 2K_1)
 G6_HUB_SPLIT_8 = "G@Kx~{"    # K_1 v (K_5 + 2K_1)
 G6_SPLIT_38 = "G?B~~{"       # K_3 v 5K_1, the n=8 equality-case graph
+
+# regression-only: sha256 of the newline-joined graph6 sequence that
+# exhaustive_list(n, chain) returns, taken from the package's enumerator
+# before the augmentation pre-filter existed.  Pins the output order, not
+# just the set of classes.
+EXHAUSTIVE_ORDER_SHA256 = {
+    (7, ("connected", "claw-free")):
+        "509029dfb78001251f76af7b3503c9491e78483f516edca95bea30b8823f64d7",
+    (8, ("connected", "claw-free")):
+        "8436a2cea915ba7b3f12949ba8553ed00682d4cb6439cd3764e7723cd6e2970e",
+    (6, ()):
+        "1f55c2ed021b730da8b90f2569a18fef8b4682543c17a57fd36271623ecc3aba",
+    (6, ("connected",)):
+        "9b08438ae608b07b878f5f4e5fa72fec4ea13fcf254d059592a4dd9933a408e1",
+    (9, ("connected", "claw-free")):
+        "2bb2789b32899a95f8441dfb87e8ff4b1c7397ea19c729ffd0fbbde49359972a",
+}

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,57 @@ def test_checkpoint_resume(tmp_path):
     # a completed checkpoint replays without changing the answer
     replay = [encode(g) for g in exhaustive_list(7, checkpoint=str(ck))]
     assert replay == base
+
+
+def test_checkpoint_from_another_run_is_rejected(tmp_path):
+    ck = tmp_path / "level.ck"
+    exhaustive_list(6, checkpoint=str(ck))
+    # before headers, this reuse returned 106 graphs instead of 112
+    with pytest.raises(InfeasibleSpec, match="another run"):
+        exhaustive_list(6, ("connected",), checkpoint=str(ck))
+    with pytest.raises(InfeasibleSpec, match="another run"):
+        exhaustive_list(7, checkpoint=str(ck))
+    # a file without a header is not trusted either
+    legacy = tmp_path / "legacy.ck"
+    legacy.write_text("\n".join(ck.read_text().splitlines()[1:]) + "\n")
+    with pytest.raises(InfeasibleSpec):
+        exhaustive_list(6, checkpoint=str(legacy))
+    legacy.write_bytes(b"\xff\xfe not a checkpoint\n")
+    with pytest.raises(InfeasibleSpec):
+        exhaustive_list(6, checkpoint=str(legacy))
+
+
+def test_checkpoint_torn_last_line_is_redone(tmp_path):
+    ck = tmp_path / "level.ck"
+    base = [encode(g) for g in exhaustive_list(7, checkpoint=str(ck))]
+    header, *lines = ck.read_text().splitlines()
+    whole = next(line for line in lines if len(line.split()) > 3)
+    parent, first, *_ = whole.split()
+    # the interrupted write was the last one: that parent's line is cut
+    # inside its child list, with no newline, and a later child is cut to
+    # look like a repeat, so trusting the line would change the answer
+    torn = " ".join([parent, first, first])
+    rest = [line for line in lines if line != whole]
+    ck.write_text("\n".join([header, *rest, torn]))
+    resumed = [encode(g) for g in exhaustive_list(7, checkpoint=str(ck))]
+    assert resumed == base
+    assert ck.read_text().splitlines()[-2:] == [torn, whole]
+
+
+@pytest.mark.parametrize(
+    "n, chain",
+    [
+        pytest.param(n, chain, marks=[pytest.mark.slow] if n == 9 else [])
+        for n, chain in frozen.EXHAUSTIVE_ORDER_SHA256
+    ],
+)
+def test_output_order_is_frozen(n, chain):
+    # regression-only: pins the emission order, not just the class set
+    graphs = exhaustive_list(n, chain)
+    if n == 9:
+        assert len(graphs) == frozen.CONNECTED_CLAW_FREE_9
+    seq = "\n".join(encode(g) for g in graphs)
+    assert hashlib.sha256(seq.encode("ascii")).hexdigest() == frozen.EXHAUSTIVE_ORDER_SHA256[n, chain]
 
 
 def test_validation_errors():
