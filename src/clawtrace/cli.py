@@ -28,7 +28,13 @@ from .graph import (
     popcount,
 )
 from .hamilton import MAX_EXACT, has_hamilton_cycle, has_hamilton_path
-from .spectral import hofmeister_bound, hong_bound, spectral_radius
+from .spectral import (
+    DEFAULT_CMP_TOL,
+    DEFAULT_TOL,
+    hofmeister_bound,
+    hong_bound,
+    spectral_radius,
+)
 from .structure import closure, find_induced, is_claw_free, is_closed
 from .verify import REGISTRY, hunt, verify
 
@@ -97,7 +103,7 @@ def _print_kv(info: dict) -> None:
 # subcommands
 
 
-def _analyze_one(g: Graph) -> dict:
+def _analyze_one(g: Graph, spectral_tol: float) -> dict:
     comps = components(g)
     connected = len(comps) == 1
     info: dict = {
@@ -119,7 +125,7 @@ def _analyze_one(g: Graph) -> dict:
         info["block_chain"] = False
     claw_free = is_claw_free(g)
     info["claw_free"] = claw_free
-    info["spectral_radius"] = spectral_radius(g).value
+    info["spectral_radius"] = spectral_radius(g, spectral_tol).value
     info["hong_bound"] = hong_bound(g) if connected else None
     info["hofmeister_bound"] = hofmeister_bound(g)
     exact = g.n <= MAX_EXACT
@@ -135,7 +141,7 @@ def _analyze_one(g: Graph) -> dict:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     first = True
     for g in _input_graphs(args.graph):
-        info = _analyze_one(g)
+        info = _analyze_one(g, args.spectral_tol)
         if args.format == "json":
             print(json.dumps(info))
         else:
@@ -187,7 +193,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_spectral(args: argparse.Namespace) -> int:
     for g in _input_graphs(args.graph):
         target = complement(g) if args.complement else g
-        est = spectral_radius(target)
+        est = spectral_radius(target, args.spectral_tol)
         info = {
             "graph6": graph6.encode(g),
             "complement": args.complement,
@@ -249,6 +255,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
         density=args.density,
         workers=args.workers,
+        cmp_tol=args.cmp_tol,
+        spectral_tol=args.spectral_tol,
     )
     if args.format == "json":
         d = report.to_dict()
@@ -267,6 +275,8 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         count=args.count,
         density=args.density,
         top=args.top,
+        cmp_tol=args.cmp_tol,
+        spectral_tol=args.spectral_tol,
     )
     if args.format == "json":
         d = report.to_dict()
@@ -293,10 +303,16 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--spectral-tol", type=float, default=None,
-                        help="power iteration residual tolerance override")
-    common.add_argument("--cmp-tol", type=float, default=None,
-                        help="threshold comparison tolerance override")
+    # the environment is read here only; argparse converts a string default
+    # with `type`, so a malformed value is a usage error
+    common.add_argument("--spectral-tol", type=float,
+                        default=os.environ.get("SPECTRAL_TOL", DEFAULT_TOL),
+                        help="power iteration residual tolerance (default "
+                             "%(default)s; set by SPECTRAL_TOL when present)")
+    common.add_argument("--cmp-tol", type=float,
+                        default=os.environ.get("CMP_TOL", DEFAULT_CMP_TOL),
+                        help="threshold comparison tolerance (default "
+                             "%(default)s; set by CMP_TOL when present)")
 
     parser = argparse.ArgumentParser(
         prog="clawtrace",
@@ -368,10 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.spectral_tol is not None:
-        os.environ["SPECTRAL_TOL"] = repr(args.spectral_tol)
-    if args.cmp_tol is not None:
-        os.environ["CMP_TOL"] = repr(args.cmp_tol)
     try:
         return args.func(args)
     except BrokenPipeError:

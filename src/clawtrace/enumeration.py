@@ -300,10 +300,12 @@ def enumerate_graphs(
     Exhaustive mode emits one representative per isomorphism class in a
     deterministic order.  Sample mode emits seeded random graphs and may
     repeat classes.  The checkpoint only applies to the last (most
-    expensive) exhaustive level.
+    expensive) exhaustive level; sample mode refuses one.
     """
     _validate(spec)
     if isinstance(spec.mode, Sample):
+        if checkpoint is not None:
+            raise InfeasibleSpec("checkpoint applies to exhaustive mode only")
         return _run_sample(spec, consumer)
     count = 0
     for graphs in exhaustive_orders(spec.predicate_chain, spec.n, spec.n, workers, checkpoint):

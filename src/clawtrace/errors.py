@@ -21,10 +21,6 @@ class EmptySet(ClawtraceError):
     pass
 
 
-class OverlappingSets(ClawtraceError):
-    pass
-
-
 class DisconnectedInput(ClawtraceError):
     pass
 
@@ -64,10 +60,6 @@ class TargetUnreachable(ClawtraceError):
 
 
 class InfeasibleSpec(ClawtraceError):
-    pass
-
-
-class NotConverged(ClawtraceError):
     pass
 
 

@@ -7,7 +7,6 @@ operations.  Vertex subsets everywhere in this package are plain int bitmasks
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -52,9 +51,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def neighbors(self, v: int) -> VertexSet:
-        return self.adj[v]
 
     def edges(self):
         for u in range(self.n):
@@ -127,15 +123,6 @@ def induced(g: Graph, subset: VertexSet) -> Graph:
             row |= 1 << pos[u]
         rows.append(row)
     return _from_rows(len(verts), rows)
-
-
-def edges_between(g: Graph, a: VertexSet, b: VertexSet) -> int:
-    """Number of edges with one end in a and the other in b (disjoint sets)."""
-    if a & b:
-        from .errors import OverlappingSets
-
-        raise OverlappingSets("edges_between requires disjoint sets")
-    return sum(popcount(g.adj[v] & b) for v in bits(a))
 
 
 def _component_of(g: Graph, start: int) -> VertexSet:
@@ -308,33 +295,6 @@ def mask_components(g: Graph, mask: VertexSet) -> list[VertexSet]:
     return out
 
 
-def is_bipartite_mask(g: Graph, mask: VertexSet) -> bool:
-    """2-colorability of the induced subgraph on `mask` (assumed connected)."""
-    start = (mask & -mask).bit_length() - 1
-    color0 = 1 << start
-    color1 = 0
-    frontier = color0
-    side = 0
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v] & mask
-        nxt &= ~(color0 | color1)
-        if side == 0:
-            color1 |= nxt
-        else:
-            color0 |= nxt
-        side ^= 1
-        frontier = nxt
-    for v in bits(color0):
-        if g.adj[v] & color0:
-            return False
-    for v in bits(color1):
-        if g.adj[v] & color1:
-            return False
-    return True
-
-
 def relabel(g: Graph, perm) -> Graph:
     """Apply vertex permutation: new label of old vertex v is perm[v]."""
     perm = [int(p) for p in perm]  # numpy ints would poison the bit rows
@@ -346,20 +306,3 @@ def relabel(g: Graph, perm) -> Graph:
         rows[perm[v]] = row
     return _from_rows(g.n, rows)
 
-
-def are_equal(g: Graph, h: Graph) -> bool:
-    return g.n == h.n and g.adj == h.adj
-
-
-def brute_force_isomorphic(g: Graph, h: Graph, cap: int = 8) -> bool:
-    """Permutation search; only for tiny graphs (test oracles, ties)."""
-    if g.n != h.n or g.m != h.m:
-        return False
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return False
-    if g.n > cap:
-        raise OrderOutOfRange(f"brute force isomorphism capped at {cap}")
-    for perm in itertools.permutations(range(g.n)):
-        if relabel(g, perm).adj == h.adj:
-            return True
-    return False

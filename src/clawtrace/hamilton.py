@@ -93,18 +93,6 @@ class HamiltonWitness:
     order: tuple[int, ...]
 
 
-def witness_is_valid(g: Graph, w: HamiltonWitness) -> bool:
-    seq = w.order
-    if sorted(seq) != list(range(g.n)):
-        return False
-    for a, b in zip(seq, seq[1:]):
-        if not g.has_edge(a, b):
-            return False
-    if w.kind == "Cycle":
-        return g.n >= 3 and g.has_edge(seq[-1], seq[0])
-    return w.kind == "Path"
-
-
 def find_hamilton_path(g: Graph) -> HamiltonWitness | None:
     """A concrete spanning path, or None.
 
@@ -131,21 +119,3 @@ def find_hamilton_path(g: Graph) -> HamiltonWitness | None:
         seq.append(next(bits(prev)))
     seq.reverse()
     return HamiltonWitness("Path", tuple(seq))
-
-
-def min_degree(g: Graph) -> int:
-    return g.min_degree()
-
-
-def degree_sum_nonadjacent_min(g: Graph) -> int | None:
-    """Minimum of d(u)+d(v) over nonadjacent pairs; None when the graph is
-    complete (no such pair)."""
-    best = None
-    degs = g.degrees()
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
-                s = degs[u] + degs[v]
-                if best is None or s < best:
-                    best = s
-    return best

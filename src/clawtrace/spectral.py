@@ -12,30 +12,16 @@ calls on the same graph return bitwise-identical results.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisconnectedInput, InvalidParams, NotConverged
+from .errors import DisconnectedInput, InvalidParams
 from .graph import Graph, bits, components, is_connected
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100000
 DEFAULT_CMP_TOL = 1e-9
-
-
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name)
-    return float(raw) if raw is not None else fallback
-
-
-def resolve_tol(tol: float | None = None) -> float:
-    return tol if tol is not None else _env_float("SPECTRAL_TOL", DEFAULT_TOL)
-
-
-def resolve_cmp_tol(cmp_tol: float | None = None) -> float:
-    return cmp_tol if cmp_tol is not None else _env_float("CMP_TOL", DEFAULT_CMP_TOL)
 
 
 @dataclass(frozen=True)
@@ -80,7 +66,7 @@ def _component_estimate(a: np.ndarray, tol: float, max_iter: int):
 
 
 def spectral_radius(
-    g: Graph, tol: float | None = None, max_iter: int = DEFAULT_MAX_ITER
+    g: Graph, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> SpectralEstimate:
     """Largest adjacency eigenvalue of g.
 
@@ -88,7 +74,6 @@ def spectral_radius(
     residual report the worst component.  Non-convergence sets
     converged=False instead of raising.
     """
-    tol = resolve_tol(tol)
     value = 0.0
     iterations = 0
     converged = True
@@ -139,16 +124,15 @@ class ThresholdVerdict:
 
 
 def compare_threshold(
-    est: SpectralEstimate, threshold: float, cmp_tol: float | None = None
+    est: SpectralEstimate, threshold: float, cmp_tol: float = DEFAULT_CMP_TOL
 ) -> str:
     """Classify est.value against threshold: Above when the margin exceeds
     cmp_tol, Below when it falls short by more than cmp_tol, Borderline in
-    between.  Borderline is a real outcome, never folded into the others."""
+    between.  Borderline is a real outcome, never folded into the others,
+    and an unconverged estimate is always Borderline: its value certifies
+    neither side."""
     if not est.converged:
-        raise NotConverged(
-            f"estimate unconverged (residual {est.residual:.3e}) cannot be classified"
-        )
-    cmp_tol = resolve_cmp_tol(cmp_tol)
+        return ThresholdVerdict.BORDERLINE
     margin = est.value - threshold
     if margin > cmp_tol:
         return ThresholdVerdict.ABOVE

@@ -1,4 +1,4 @@
-"""Forbidden-subgraph detection, neighborhood classification, and closure.
+"""Forbidden-subgraph detection and the claw-free closure.
 
 The closure machinery repeatedly completes the neighborhood of an eligible
 vertex (one whose neighborhood induces a connected, non-complete subgraph)
@@ -17,7 +17,6 @@ from .graph import (
     VertexSet,
     bits,
     from_edges,
-    mask_components,
     mask_connected,
     mask_is_clique,
     popcount,
@@ -97,32 +96,6 @@ def is_claw_free(g: Graph) -> bool:
                 if rest:
                     return False
     return True
-
-
-class NeighborhoodKind:
-    CLIQUE = "Clique"
-    TWO_CLIQUES = "TwoCliques"
-    OTHER = "Other"
-
-
-def classify_neighborhood(g: Graph, x: int) -> str:
-    """Clique (empty and singleton count), TwoCliques (exactly two
-    components, both complete), or Other."""
-    mask = g.adj[x]
-    if mask == 0:
-        return NeighborhoodKind.CLIQUE
-    comps = mask_components(g, mask)
-    if len(comps) == 1:
-        if mask_is_clique(g, mask):
-            return NeighborhoodKind.CLIQUE
-        return NeighborhoodKind.OTHER
-    if len(comps) == 2 and all(mask_is_clique(g, c) for c in comps):
-        return NeighborhoodKind.TWO_CLIQUES
-    return NeighborhoodKind.OTHER
-
-
-def is_bad(g: Graph, x: int) -> bool:
-    return classify_neighborhood(g, x) == NeighborhoodKind.OTHER
 
 
 def is_eligible(g: Graph, x: int) -> bool:

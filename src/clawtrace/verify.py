@@ -54,6 +54,8 @@ from .graph import (
 )
 from .hamilton import MAX_EXACT, has_hamilton_cycle, has_hamilton_path
 from .spectral import (
+    DEFAULT_CMP_TOL,
+    DEFAULT_TOL,
     SpectralEstimate,
     ThresholdVerdict,
     compare_threshold,
@@ -248,7 +250,7 @@ NO = "no"
 BORDER = "borderline"
 
 
-def _geq(est: SpectralEstimate, threshold: float, cmp_tol: float | None) -> str:
+def _geq(est: SpectralEstimate, threshold: float, cmp_tol: float) -> str:
     v = compare_threshold(est, threshold, cmp_tol)
     if v == ThresholdVerdict.ABOVE:
         return YES
@@ -257,7 +259,7 @@ def _geq(est: SpectralEstimate, threshold: float, cmp_tol: float | None) -> str:
     return NO
 
 
-def _leq(est: SpectralEstimate, threshold: float, cmp_tol: float | None) -> str:
+def _leq(est: SpectralEstimate, threshold: float, cmp_tol: float) -> str:
     v = compare_threshold(est, threshold, cmp_tol)
     if v == ThresholdVerdict.BELOW:
         return YES
@@ -282,8 +284,8 @@ def _degree_sum_nonadjacent_max(g: Graph) -> Optional[int]:
     return best
 
 
-def _bounds_hold(g: Graph, _ctx) -> bool:
-    mu = spectral_radius(g).value
+def _bounds_hold(g: Graph, ctx) -> bool:
+    mu = ctx.mu(g).value
     hi = hong_bound(g)
     if mu > hi + BOUND_SLACK:
         return False
@@ -298,8 +300,8 @@ def _is_star(g: Graph) -> bool:
     return degs[-1] == g.n - 1 and all(d == 1 for d in degs[:-1])
 
 
-def _hofmeister_holds(g: Graph, _ctx) -> bool:
-    return hofmeister_bound(g) <= spectral_radius(g).value + BOUND_SLACK
+def _hofmeister_holds(g: Graph, ctx) -> bool:
+    return hofmeister_bound(g) <= ctx.mu(g).value + BOUND_SLACK
 
 
 def _traceable_conclusion(g: Graph, _ctx) -> Optional[bool]:
@@ -315,7 +317,7 @@ def _blown_properties_hold(g: Graph, ctx) -> bool:
         return False
     if has_hamilton_cycle(g):
         return False
-    verdict = _geq(spectral_radius(g), g.n - 7, ctx.cmp_tol)
+    verdict = _geq(ctx.mu(g), g.n - 7, ctx.cmp_tol)
     if verdict == BORDER:
         ctx.borderline_hook(g)
         return False
@@ -339,18 +341,20 @@ class TheoremSpec:
 
 
 class _Context:
-    def __init__(self, n: int, cmp_tol: float | None, borderline_hook):
+    def __init__(self, n: int, cmp_tol: float, spectral_tol: float, borderline_hook):
         self.n = n
         self.cmp_tol = cmp_tol
+        self.spectral_tol = spectral_tol
         self.borderline_hook = borderline_hook
         self._complement_threshold: float | None = None
+
+    def mu(self, g: Graph) -> SpectralEstimate:
+        return spectral_radius(g, self.spectral_tol)
 
     def complement_threshold(self) -> float:
         # largest complement eigenvalue of the pendant family at this order
         if self._complement_threshold is None:
-            self._complement_threshold = spectral_radius(
-                complement(nn33(self.n))
-            ).value
+            self._complement_threshold = self.mu(complement(nn33(self.n))).value
         return self._complement_threshold
 
 
@@ -388,10 +392,10 @@ def _register(spec: TheoremSpec) -> None:
 _register(
     TheoremSpec(
         id="FiedlerNikiforov1",
-        margin=lambda g, c: spectral_radius(g).value - (g.n - 2),
+        margin=lambda g, c: c.mu(g).value - (g.n - 2),
         chain=(),
         floor_n=2,
-        hypothesis=lambda g, c: _geq(spectral_radius(g), g.n - 2, c.cmp_tol),
+        hypothesis=lambda g, c: _geq(c.mu(g), g.n - 2, c.cmp_tol),
         conclusion=_traceable_conclusion,
         exception_families=_cpi_family,
     )
@@ -399,11 +403,11 @@ _register(
 _register(
     TheoremSpec(
         id="FiedlerNikiforov2",
-        margin=lambda g, c: math.sqrt(g.n - 1) - spectral_radius(complement(g)).value,
+        margin=lambda g, c: math.sqrt(g.n - 1) - c.mu(complement(g)).value,
         chain=(),
         floor_n=2,
         hypothesis=lambda g, c: _leq(
-            spectral_radius(complement(g)), math.sqrt(g.n - 1), c.cmp_tol
+            c.mu(complement(g)), math.sqrt(g.n - 1), c.cmp_tol
         ),
         conclusion=_traceable_conclusion,
         exception_families=_cpi_family,
@@ -412,12 +416,10 @@ _register(
 _register(
     TheoremSpec(
         id="LuLiuTian",
-        margin=lambda g, c: spectral_radius(g).value - math.sqrt((g.n - 3) ** 2 + 3),
+        margin=lambda g, c: c.mu(g).value - math.sqrt((g.n - 3) ** 2 + 3),
         chain=("connected",),
         floor_n=7,
-        hypothesis=lambda g, c: _geq(
-            spectral_radius(g), math.sqrt((g.n - 3) ** 2 + 3), c.cmp_tol
-        ),
+        hypothesis=lambda g, c: _geq(c.mu(g), math.sqrt((g.n - 3) ** 2 + 3), c.cmp_tol),
         conclusion=_traceable_conclusion,
         exception_families=_no_families,
     )
@@ -425,10 +427,10 @@ _register(
 _register(
     TheoremSpec(
         id="NingGe",
-        margin=lambda g, c: spectral_radius(g).value - (g.n - 3),
+        margin=lambda g, c: c.mu(g).value - (g.n - 3),
         chain=("connected",),
         floor_n=7,
-        hypothesis=lambda g, c: _geq(spectral_radius(g), g.n - 3, c.cmp_tol),
+        hypothesis=lambda g, c: _geq(c.mu(g), g.n - 3, c.cmp_tol),
         conclusion=_traceable_conclusion,
         exception_families=_ning_ge_family,
     )
@@ -436,10 +438,10 @@ _register(
 _register(
     TheoremSpec(
         id="MainMuG",
-        margin=lambda g, c: spectral_radius(g).value - (g.n - 4),
+        margin=lambda g, c: c.mu(g).value - (g.n - 4),
         chain=("connected", "claw-free"),
         floor_n=2,
-        hypothesis=lambda g, c: _geq(spectral_radius(g), g.n - 4, c.cmp_tol),
+        hypothesis=lambda g, c: _geq(c.mu(g), g.n - 4, c.cmp_tol),
         conclusion=_traceable_conclusion,
         exception_families=_nn33_family,
     )
@@ -447,12 +449,12 @@ _register(
 _register(
     TheoremSpec(
         id="MainComplement",
-        margin=lambda g, c: c.complement_threshold() - spectral_radius(complement(g)).value,
+        margin=lambda g, c: c.complement_threshold() - c.mu(complement(g)).value,
         chain=("connected", "claw-free"),
         floor_n=24,
         sampled_only=True,
         hypothesis=lambda g, c: _leq(
-            spectral_radius(complement(g)), c.complement_threshold(), c.cmp_tol
+            c.mu(complement(g)), c.complement_threshold(), c.cmp_tol
         ),
         conclusion=_traceable_conclusion,
         exception_families=_nn33_family,
@@ -525,7 +527,7 @@ _register(
         chain=("connected",),
         floor_n=1,
         hypothesis=lambda g, c: YES,
-        conclusion=lambda g, c: _bounds_hold(g, c),
+        conclusion=_bounds_hold,
         exception_families=_no_families,
     )
 )
@@ -535,7 +537,7 @@ _register(
         chain=(),
         floor_n=1,
         hypothesis=lambda g, c: YES,
-        conclusion=lambda g, c: _hofmeister_holds(g, c),
+        conclusion=_hofmeister_holds,
         exception_families=_no_families,
     )
 )
@@ -618,6 +620,21 @@ class VerificationReport:
         }
 
 
+def _exception_label(g: Graph, spec: TheoremSpec) -> str:
+    """Label of the declared exception family that accounts for g, a graph
+    whose conclusion failed or is undecided; Unmatched when none does."""
+    if spec.exception_rule == "pendant-spanning-subgraph":
+        if is_spanning_subgraph_of_pendant_family(g):
+            return "SpanningSubgraphOfPendantFamily"
+    elif g.n <= MAX_CANONICAL:
+        fam = match_exception(g, spec.exception_families(g.n))
+        if fam is not None:
+            return fam.label()
+    elif _is_pendant_family(g):
+        return FamilySpec("Nn33", (g.n,)).label()
+    return "Unmatched"
+
+
 def _render(g: Graph) -> str:
     if g.n <= MAX_CANONICAL:
         return canonical_form(g)
@@ -638,14 +655,17 @@ def verify(
     seed: int | None = None,
     density: float = 0.9,
     workers: int = 1,
-    cmp_tol: float | None = None,
+    cmp_tol: float = DEFAULT_CMP_TOL,
+    spectral_tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Run one theorem verifier over [n_min, n_max].
 
     Exhaustive mode sweeps every isomorphism class of the theorem's corpus;
     sample mode draws `count` seeded dense graphs split evenly across the
     orders (per-order seed is seed + n).  Counterexamples never raise; they
-    land in the report as Unmatched exceptions.
+    land in the report as Unmatched exceptions.  spectral_tol is the power
+    iteration residual target and cmp_tol the threshold comparison slack; a
+    graph whose estimate does not converge is listed as borderline.
     """
     if theorem not in REGISTRY:
         raise InfeasibleRange(f"unknown theorem id {theorem!r}")
@@ -681,7 +701,9 @@ def verify(
     sweep = exhaustive_orders(spec.chain, n_min, n_max, workers)
     with closing(sweep):
         for idx, n in enumerate(orders):
-            ctx = _Context(n, cmp_tol, lambda g: borderline.append(_render(g)))
+            ctx = _Context(
+                n, cmp_tol, spectral_tol, lambda g: borderline.append(_render(g))
+            )
 
             def consume(g: Graph, ctx=ctx) -> None:
                 nonlocal checked
@@ -691,21 +713,9 @@ def verify(
                     borderline.append(_render(g))
                 if verdict == NO:
                     return
-                concl = spec.conclusion(g, ctx)
-                if concl is True:
-                    return
-                # violated or undecided: match against the declared exceptions
-                label = "Unmatched"
-                if spec.exception_rule == "pendant-spanning-subgraph":
-                    if is_spanning_subgraph_of_pendant_family(g):
-                        label = "SpanningSubgraphOfPendantFamily"
-                elif g.n <= MAX_CANONICAL:
-                    fam = match_exception(g, spec.exception_families(n))
-                    if fam is not None:
-                        label = fam.label()
-                elif _is_pendant_family(g):
-                    label = FamilySpec("Nn33", (g.n,)).label()
-                exceptions.append((_render(g), label))
+                if spec.conclusion(g, ctx) is not True:
+                    # violated or undecided: match against the declared exceptions
+                    exceptions.append((_render(g), _exception_label(g, spec)))
 
             if spec.family_sweep is not None:
                 for g in spec.family_sweep(n):
@@ -766,7 +776,8 @@ def hunt(
     count: int,
     density: float = 0.9,
     top: int = 10,
-    cmp_tol: float | None = None,
+    cmp_tol: float = DEFAULT_CMP_TOL,
+    spectral_tol: float = DEFAULT_TOL,
 ) -> HuntReport:
     """Sampled counterexample search at one order.
 
@@ -782,7 +793,7 @@ def hunt(
     if n < spec.floor_n:
         raise InfeasibleRange(f"{theorem} applies from n = {spec.floor_n}, got {n}")
     t0 = time.perf_counter()
-    ctx = _Context(n, cmp_tol, lambda g: None)
+    ctx = _Context(n, cmp_tol, spectral_tol, lambda g: None)
     checked = 0
     counterexamples: list[tuple[str, str]] = []
     misses: list[tuple[float, str]] = []
@@ -798,17 +809,7 @@ def hunt(
             if concl is False:
                 misses.append((spec.margin(g, ctx), _render(g)))
             return
-        label = "Unmatched"
-        if spec.exception_rule == "pendant-spanning-subgraph":
-            if is_spanning_subgraph_of_pendant_family(g):
-                label = "SpanningSubgraphOfPendantFamily"
-        elif g.n <= MAX_CANONICAL:
-            fam = match_exception(g, spec.exception_families(n))
-            if fam is not None:
-                label = fam.label()
-        elif _is_pendant_family(g):
-            label = FamilySpec("Nn33", (g.n,)).label()
-        counterexamples.append((_render(g), label))
+        counterexamples.append((_render(g), _exception_label(g, spec)))
 
     enumerate_graphs(EnumSpec(n, spec.chain, Sample(count, seed, density)), consume)
     counterexamples = sorted(set(counterexamples))

@@ -2,13 +2,15 @@
 
 Nothing here shares algorithmic code with the package.  Spectral radii come
 from numpy's symmetric eigensolver, Hamilton paths from permutation scans,
-induced-subgraph hits from subset enumeration, and isomorphism-class counts
-from permutation-orbit marking over all labeled graphs.
+induced-subgraph hits from subset enumeration, isomorphism from permutation
+search, and isomorphism-class counts from permutation-orbit marking over all
+labeled graphs.
 """
 import itertools
 
 import numpy as np
 
+from clawtrace.errors import OrderOutOfRange
 from clawtrace.graph import Graph
 
 
@@ -43,6 +45,35 @@ def hamilton_cycle_brute(g: Graph) -> bool:
         if all(g.has_edge(seq[i], seq[(i + 1) % g.n]) for i in range(g.n)):
             return True
     return False
+
+
+def witness_is_valid(g: Graph, w) -> bool:
+    """Is the HamiltonWitness w a spanning path (or cycle) of g?"""
+    seq = w.order
+    if sorted(seq) != list(range(g.n)):
+        return False
+    for a, b in zip(seq, seq[1:]):
+        if not g.has_edge(a, b):
+            return False
+    if w.kind == "Cycle":
+        return g.n >= 3 and g.has_edge(seq[-1], seq[0])
+    return w.kind == "Path"
+
+
+def brute_force_isomorphic(g: Graph, h: Graph, cap: int = 8) -> bool:
+    """Permutation search; only for tiny graphs."""
+    if g.n != h.n or g.m != h.m:
+        return False
+    if sorted(g.degrees()) != sorted(h.degrees()):
+        return False
+    if g.n > cap:
+        raise OrderOutOfRange(f"brute force isomorphism capped at {cap}")
+    # equal edge counts: a map sending every edge onto an edge is a bijection
+    edges = list(g.edges())
+    return any(
+        all(h.has_edge(perm[u], perm[v]) for u, v in edges)
+        for perm in itertools.permutations(range(g.n))
+    )
 
 
 def _induced_matches(g: Graph, vertices: tuple[int, ...], pattern: Graph) -> bool:

@@ -11,10 +11,10 @@ from clawtrace.canon import (
 )
 from clawtrace.errors import OrderTooLargeForCanonical
 from clawtrace.families import complete, star
-from clawtrace.graph import brute_force_isomorphic, from_edges, relabel
+from clawtrace.graph import from_edges, relabel
 from clawtrace.graph6 import decode
 
-from oracles import random_graph
+from oracles import brute_force_isomorphic, random_graph
 
 
 def test_canonical_form_relabel_invariant():

@@ -11,19 +11,9 @@ from clawtrace import cli, graph6
 from clawtrace.families import brousek, complete, nn33
 from clawtrace.graph import complement, from_edges
 from clawtrace.spectral import spectral_radius
+from clawtrace.verify import hunt, verify
 
 import frozen
-
-
-@pytest.fixture(autouse=True)
-def _restore_tolerance_env():
-    saved = {k: os.environ.get(k) for k in ("SPECTRAL_TOL", "CMP_TOL")}
-    yield
-    for k, v in saved.items():
-        if v is None:
-            os.environ.pop(k, None)
-        else:
-            os.environ[k] = v
 
 
 def wheel6():
@@ -140,9 +130,16 @@ def test_spectral_complement_flag(capsys):
     assert comp["complement"] is True and plain["converged"] is True
 
 
-def test_spectral_tol_flag_sets_env(capsys):
-    assert cli.run(["spectral", frozen.G6_NET, "--spectral-tol", "1e-4"]) == 0
-    assert os.environ["SPECTRAL_TOL"] == repr(1e-4)
+def test_spectral_tol_flag_reaches_estimator(capsys, monkeypatch):
+    monkeypatch.delenv("SPECTRAL_TOL", raising=False)
+    s = graph6.encode(nn33(9))
+    assert cli.run(["spectral", s, "--format", "json"]) == 0
+    tight = json.loads(capsys.readouterr().out)
+    assert cli.run(["spectral", s, "--spectral-tol", "1e-2", "--format", "json"]) == 0
+    loose = json.loads(capsys.readouterr().out)
+    assert loose["converged"] and tight["converged"]
+    assert loose["iterations"] < tight["iterations"]
+    assert loose["residual"] <= 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +170,15 @@ def test_enumerate_sample_needs_count_and_seed(capsys):
     assert "count" in capsys.readouterr().err
 
 
+def test_enumerate_sample_refuses_checkpoint(capsys, tmp_path):
+    ck = tmp_path / "cks.txt"
+    assert cli.run(["enumerate", "--n", "10", "--mode", "sample", "--count", "3",
+                    "--seed", "1", "--checkpoint", str(ck)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "exhaustive mode only" in err
+    assert not ck.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify / hunt
 
@@ -188,15 +194,39 @@ def test_verify_pass_json(capsys):
     assert d["n_range"] == [6, 7] and d["seed"] is None
 
 
-def test_verify_fail_exit_1(capsys):
+def test_verify_fail_exit_1(capsys, monkeypatch):
     # widened comparison tolerance admits sub-threshold non-traceable
     # graphs, so the run honestly fails with Unmatched entries
+    monkeypatch.delenv("CMP_TOL", raising=False)
     rc = cli.run(["verify", "main-mu", "--n-min", "7", "--n-max", "7",
                   "--cmp-tol", "0.5", "--format", "json", "--workers", "1"])
     assert rc == 1
     d = json.loads(capsys.readouterr().out)
     assert d["passed"] is False
     assert any(label == "Unmatched" for _, label in d["exceptions"])
+    # the flag reached verify() as an argument and left nothing behind for
+    # a later library call in the same process
+    assert "CMP_TOL" not in os.environ
+    r = verify("MainMuG", 7, 7)
+    assert r.passed and len(r.borderline) == 2
+
+
+def test_cmp_tol_env_sets_cli_default_only(capsys, monkeypatch):
+    args = ["verify", "main-mu", "--n-min", "7", "--n-max", "7",
+            "--format", "json", "--workers", "1"]
+    monkeypatch.delenv("CMP_TOL", raising=False)
+    assert cli.run(args) == 0
+    plain = json.loads(capsys.readouterr().out)
+    monkeypatch.setenv("CMP_TOL", "0.5")
+    assert cli.run(args) == 1
+    widened = json.loads(capsys.readouterr().out)
+    assert len(widened["borderline"]) > len(plain["borderline"])
+    # the flag wins over the variable
+    assert cli.run(args + ["--cmp-tol", "1e-9"]) == 0
+    assert json.loads(capsys.readouterr().out)["borderline"] == plain["borderline"]
+    # the library never reads the environment
+    r = verify("MainMuG", 7, 7)
+    assert r.passed and list(r.borderline) == plain["borderline"]
 
 
 def test_verify_text_result_line(capsys):
@@ -241,10 +271,44 @@ def test_hunt_json(capsys):
                        "near_misses", "elapsed_ms", "seed", "passed"]
 
 
+def test_hunt_cmp_tol_reaches_hunt(capsys, monkeypatch):
+    # at the default tolerance G@?Y[[ is a near miss, 0.756 below n - 4;
+    # a comparison tolerance of 1 turns it borderline, so it is checked
+    # and reported as an Unmatched counterexample
+    monkeypatch.delenv("CMP_TOL", raising=False)
+    args = ["hunt", "--theorem", "main-mu", "--n", "8", "--seed", "3",
+            "--count", "40", "--density", "0.3", "--format", "json"]
+    assert cli.run(args) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert cli.run(args + ["--cmp-tol", "1.0"]) == 1
+    loose = json.loads(capsys.readouterr().out)
+    assert plain["counterexamples"] == []
+    assert loose["counterexamples"] == [["G@?Y[[", "Unmatched"]]
+    want = hunt("MainMuG", 8, 3, 40, density=0.3, cmp_tol=1.0).to_dict()
+    for d in (loose, want):
+        d.pop("elapsed_ms")
+    loose.pop("passed")
+    assert loose == want
+
+
 def test_hunt_rejects_margin_free_theorem(capsys):
     assert cli.run(["hunt", "--theorem", "dgj", "--n", "8",
                     "--seed", "1", "--count", "5"]) == 2
     assert "numeric hypothesis" in capsys.readouterr().err
+
+
+def test_only_the_cli_reads_the_environment():
+    # tolerances reach the library as arguments; the CLI alone turns
+    # environment variables into flag defaults
+    pkg = os.path.dirname(os.path.abspath(clawtrace.__file__))
+    readers = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py") and name != "cli.py":
+            with open(os.path.join(pkg, name)) as f:
+                text = f.read()
+            if "environ" in text or "getenv" in text:
+                readers.append(name)
+    assert readers == []
 
 
 # ---------------------------------------------------------------------------

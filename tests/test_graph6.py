@@ -3,7 +3,7 @@ import pytest
 
 from clawtrace.errors import InvalidParams, OrderOutOfRange
 from clawtrace.families import complete, net, star
-from clawtrace.graph import are_equal, from_edges
+from clawtrace.graph import from_edges
 from clawtrace.graph6 import decode, encode
 
 from oracles import random_graph
@@ -23,7 +23,7 @@ def test_round_trip_random():
     for _ in range(200):
         n = int(rng.integers(1, 21))
         g = random_graph(rng, n, rng.random())
-        assert are_equal(decode(encode(g)), g)
+        assert decode(encode(g)) == g
 
 
 def test_round_trip_large_orders():
@@ -33,12 +33,12 @@ def test_round_trip_large_orders():
         s = encode(g)
         if n > 62:
             assert s.startswith("~")
-        assert are_equal(decode(s), g)
+        assert decode(s) == g
 
 
 def test_optional_header_accepted():
     g = net()
-    assert are_equal(decode(">>graph6<<" + encode(g)), g)
+    assert decode(">>graph6<<" + encode(g)) == g
 
 
 def test_decode_rejects_malformed():
@@ -76,7 +76,7 @@ def test_networkx_cross_check():
         gx.add_edges_from(g.edges())
         s = nx.to_graph6_bytes(gx, header=False).decode().strip()
         h = decode(s)
-        assert are_equal(h, g)
+        assert h == g
 
 
 def test_star_encoding_stable():

@@ -2,20 +2,22 @@ import numpy as np
 import pytest
 
 from clawtrace.errors import OrderTooLargeForExact
-from clawtrace.families import complete, complete_split, net, nn33, star
+from clawtrace.families import complete, complete_split, nn33, star
 from clawtrace.graph import disjoint_union, from_edges
 from clawtrace.hamilton import (
     MAX_EXACT,
     HamiltonWitness,
-    degree_sum_nonadjacent_min,
     find_hamilton_path,
     has_hamilton_cycle,
     has_hamilton_path,
-    min_degree,
-    witness_is_valid,
 )
 
-from oracles import hamilton_cycle_brute, hamilton_path_brute, random_graph
+from oracles import (
+    hamilton_cycle_brute,
+    hamilton_path_brute,
+    random_graph,
+    witness_is_valid,
+)
 
 
 def path_graph(n):
@@ -108,11 +110,3 @@ def test_larger_structured_instances():
     assert has_hamilton_path(path_graph(22))
     w = find_hamilton_path(cycle_graph(18))
     assert w is not None and witness_is_valid(cycle_graph(18), w)
-
-
-def test_degree_helpers():
-    g = net()
-    assert min_degree(g) == 1
-    assert degree_sum_nonadjacent_min(g) == 2  # two pendants
-    assert degree_sum_nonadjacent_min(complete(5)) is None
-    assert degree_sum_nonadjacent_min(cycle_graph(5)) == 4

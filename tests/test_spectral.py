@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from clawtrace.errors import DisconnectedInput, InvalidParams, NotConverged
+from clawtrace.errors import DisconnectedInput, InvalidParams
 from clawtrace.families import (
     complete,
     complete_plus_isolated,
@@ -17,14 +17,13 @@ from clawtrace.families import (
 from clawtrace.graph import complement, disjoint_union, from_edges
 from clawtrace.spectral import (
     DEFAULT_CMP_TOL,
+    DEFAULT_TOL,
     SpectralEstimate,
     ThresholdVerdict,
     compare_threshold,
     complete_split_radius,
     hofmeister_bound,
     hong_bound,
-    resolve_cmp_tol,
-    resolve_tol,
     spectral_radius,
     triple_split_radius,
 )
@@ -97,7 +96,7 @@ def test_residual_certificate():
     for _ in range(40):
         g = random_graph(rng, int(rng.integers(2, 12)), 0.5)
         est = spectral_radius(g)
-        assert est.residual <= resolve_tol(None)
+        assert est.residual <= DEFAULT_TOL
         if g.m > 0:
             assert est.iterations >= 1
 
@@ -159,17 +158,7 @@ def test_compare_threshold_verdicts():
         ThresholdVerdict.BORDERLINE
     )
     assert compare_threshold(est, 4.0, cmp_tol=2.0) == ThresholdVerdict.BORDERLINE
-    with pytest.raises(NotConverged):
-        compare_threshold(SpectralEstimate(5.0, 99, False, 1.0), 4.0)
-
-
-def test_env_overrides(monkeypatch):
-    monkeypatch.setenv("CMP_TOL", "0.25")
-    assert resolve_cmp_tol(None) == 0.25
-    assert resolve_cmp_tol(1e-9) == 1e-9  # explicit argument wins
-    est = SpectralEstimate(5.2, 10, True, 0.0)
-    assert compare_threshold(est, 5.0) == ThresholdVerdict.BORDERLINE
-    monkeypatch.setenv("SPECTRAL_TOL", "1e-6")
-    assert resolve_tol(None) == 1e-6
-    est2 = spectral_radius(complete(6))
-    assert est2.converged and abs(est2.value - 5.0) < 1e-5
+    # an unconverged estimate certifies neither side of any threshold
+    unconverged = SpectralEstimate(5.0, 99, False, 1.0)
+    assert compare_threshold(unconverged, 4.0) == ThresholdVerdict.BORDERLINE
+    assert compare_threshold(unconverged, 6.0) == ThresholdVerdict.BORDERLINE

@@ -7,18 +7,20 @@ from clawtrace.graph import bits, from_edges, induced, is_complete, popcount, re
 from clawtrace.hamilton import has_hamilton_path
 from clawtrace.structure import (
     MAX_PATTERN,
-    NeighborhoodKind,
-    classify_neighborhood,
     closure,
     find_induced,
-    is_bad,
     is_claw_free,
     is_closed,
     is_eligible,
     local_completion,
 )
 
-from oracles import claw_free_brute, find_induced_brute, random_graph
+from oracles import (
+    brute_force_isomorphic,
+    claw_free_brute,
+    find_induced_brute,
+    random_graph,
+)
 
 
 def cycle_graph(n):
@@ -50,8 +52,6 @@ def test_find_induced_agrees_with_subset_scan():
         assert (hit is not None) == find_induced_brute(host, pattern)
         if hit is not None:
             # the returned mask really induces the pattern
-            from clawtrace.graph import brute_force_isomorphic
-
             assert popcount(hit) == pattern.n
             assert brute_force_isomorphic(induced(host, hit), pattern)
 
@@ -65,20 +65,6 @@ def test_induced_net_in_pendant_family():
     for n in range(6, 12):
         assert find_induced(nn33(n), net()) is not None
     assert find_induced(complete(9), net()) is None
-
-
-def test_classify_neighborhood():
-    g = net()  # triangle corners see (other corners + a pendant): two cliques
-    assert classify_neighborhood(g, 0) == NeighborhoodKind.TWO_CLIQUES
-    assert classify_neighborhood(g, 3) == NeighborhoodKind.CLIQUE  # pendant
-    assert not is_bad(g, 0)
-    c5 = cycle_graph(5)
-    assert classify_neighborhood(c5, 0) == NeighborhoodKind.TWO_CLIQUES
-    wheelish = from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)])
-    assert classify_neighborhood(wheelish, 0) == NeighborhoodKind.OTHER
-    assert is_bad(wheelish, 0)
-    lone = from_edges(3, [(0, 1)])
-    assert classify_neighborhood(lone, 2) == NeighborhoodKind.CLIQUE
 
 
 def test_eligibility_and_local_completion():

@@ -219,6 +219,20 @@ def test_cmp_tol_widens_borderline():
     assert extra and all(label == "Unmatched" for _, label in extra)
 
 
+def test_unconverged_estimates_are_borderline():
+    # no residual reaches 1e-30, so every graph with an edge runs out of
+    # iterations; it is listed as borderline instead of aborting the run,
+    # and its conclusion is still checked
+    r = verify("FiedlerNikiforov1", 3, 3, spectral_tol=1e-30)
+    k2_k1 = canonical_form(complete_plus_isolated(3))
+    p3 = canonical_form(from_edges(3, [(0, 1), (1, 2)]))
+    assert r.checked == 4
+    assert r.borderline == tuple(sorted((k2_k1, p3, canonical_form(complete(3)))))
+    assert r.exceptions == ((k2_k1, "CompletePlusIsolated(3)"),)
+    assert r.passed
+    assert verify("FiedlerNikiforov1", 3, 3).borderline == (k2_k1,)
+
+
 def test_report_serializes():
     r = verify("MainMuG", 6, 6)
     d = r.to_dict()
