@@ -303,16 +303,18 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
+    # only the subcommands that compute spectra take the tolerances
+    tolerances = argparse.ArgumentParser(add_help=False)
     # the environment is read here only; argparse converts a string default
     # with `type`, so a malformed value is a usage error
-    common.add_argument("--spectral-tol", type=float,
-                        default=os.environ.get("SPECTRAL_TOL", DEFAULT_TOL),
-                        help="power iteration residual tolerance (default "
-                             "%(default)s; set by SPECTRAL_TOL when present)")
-    common.add_argument("--cmp-tol", type=float,
-                        default=os.environ.get("CMP_TOL", DEFAULT_CMP_TOL),
-                        help="threshold comparison tolerance (default "
-                             "%(default)s; set by CMP_TOL when present)")
+    tolerances.add_argument("--spectral-tol", type=float,
+                            default=os.environ.get("SPECTRAL_TOL", DEFAULT_TOL),
+                            help="power iteration residual tolerance (default "
+                                 "%(default)s; set by SPECTRAL_TOL when present)")
+    tolerances.add_argument("--cmp-tol", type=float,
+                            default=os.environ.get("CMP_TOL", DEFAULT_CMP_TOL),
+                            help="threshold comparison tolerance (default "
+                                 "%(default)s; set by CMP_TOL when present)")
 
     parser = argparse.ArgumentParser(
         prog="clawtrace",
@@ -320,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[common, tolerances],
                        help="report structure and spectra of graph6 input")
     p.add_argument("graph", help="graph6 string, or - for stdin lines")
     p.set_defaults(func=_cmd_analyze)
@@ -336,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", type=int, nargs="*")
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("spectral", parents=[common],
+    p = sub.add_parser("spectral", parents=[common, tolerances],
                        help="spectral radius of the graph or its complement")
     p.add_argument("graph", help="graph6 string, or - for stdin lines")
     p.add_argument("--complement", action="store_true")
@@ -356,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common, tolerances],
                        help="run one theorem verifier over an order range")
     p.add_argument("theorem", help=", ".join(sorted(_THEOREMS)))
     p.add_argument("--n-min", type=int, required=True)
@@ -368,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("hunt", parents=[common],
+    p = sub.add_parser("hunt", parents=[common, tolerances],
                        help="sampled counterexample search at one order")
     p.add_argument("--theorem", required=True)
     p.add_argument("--n", type=int, required=True)

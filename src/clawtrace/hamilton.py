@@ -2,14 +2,21 @@
 
 The core is a subset dynamic program over (visited set, endpoint) states.
 States are stored as one endpoint bitmask per visited set in a flat numpy
-array indexed by the set, and layers are processed in order of set size so
-every transition flows from one layer to the next.  That keeps the whole
-solver a handful of vectorized scatter updates per (vertex, neighbor) pair
-instead of a Python loop over 2^n states.
+int32 array indexed by the set.  Sets are processed layer by layer in order
+of size, so every transition flows from one layer to the next, and each
+layer costs one vectorized pass per target vertex w: every live set that
+misses w and has an endpoint adjacent to w gains w as an endpoint of the
+set with w added.  The sets of each size are built once per order and
+cached, so a sweep over many graphs of one order never rebuilds them.
+
+The cycle DP is anchored: a Hamilton cycle passes through vertex 0, so it
+only tracks paths that start at 0 and indexes only the sets over vertices
+1..n-1, half the states of the path DP.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,41 +33,56 @@ def _check_order(g: Graph) -> None:
         )
 
 
-def _popcount_table(size: int) -> np.ndarray:
-    x = np.arange(size, dtype=np.uint32)
-    x = x - ((x >> 1) & 0x55555555)
-    x = (x & 0x33333333) + ((x >> 2) & 0x33333333)
-    x = (x + (x >> 4)) & 0x0F0F0F0F
-    return ((x * 0x01010101) >> 24).astype(np.uint8)
+@lru_cache(maxsize=1)
+def _layers(m: int) -> tuple[np.ndarray, ...]:
+    """Entry k holds every k-subset of m bits as an ascending uint32 array.
+    The k-subsets of b + 1 bits are those of b bits followed by the
+    (k - 1)-subsets of b bits with bit b added."""
+    empty = np.zeros(0, dtype=np.uint32)
+    layers = [np.zeros(1, dtype=np.uint32)]
+    for b in range(m):
+        bit = np.uint32(1 << b)
+        layers = [
+            np.concatenate((low, high | bit))
+            for low, high in zip(layers + [empty], [empty] + layers)
+        ]
+    for layer in layers:
+        layer.setflags(write=False)  # shared by every call at this order
+    return tuple(layers)
 
 
-def _run_dp(g: Graph, start_mask: int | None = None) -> np.ndarray:
+def _run_dp(g: Graph, anchored: bool = False) -> np.ndarray:
     """dp[visited] = bitmask of endpoints reachable by a path covering
-    exactly the visited set.  start_mask restricts the allowed one-vertex
-    starts (None means any vertex)."""
+    exactly the visited set.  Unanchored, paths start anywhere and the
+    table has 2^n entries; anchored, paths start at vertex 0, vertex v is
+    bit v - 1 of the index, and the table has 2^(n-1) entries, entry 0
+    being the path {0}.  Endpoint masks always use the vertex numbers."""
     n = g.n
-    size = 1 << n
-    dp = np.zeros(size, dtype=np.int32)
-    starts = range(n) if start_mask is None else bits(start_mask)
-    for v in starts:
-        dp[1 << v] = 1 << v
-    popcnt = _popcount_table(size)
-    for k in range(1, n):
-        layer = np.nonzero(popcnt == k)[0]
-        ends = dp[layer]
+    shift = 1 if anchored else 0
+    m = n - shift
+    dp = np.zeros(1 << m, dtype=np.int32)
+    if anchored:
+        dp[0] = 1
+    else:
+        for v in range(n):
+            dp[1 << v] = 1 << v
+    layers = _layers(m)
+    # the first layer that holds a path: the singletons, or anchored {0}
+    for k in range(1 - shift, m):
+        sets = layers[k]
+        ends = dp[sets]
         live = ends != 0
         if not live.any():
             break
-        layer = layer[live]
+        sets = sets[live]
         ends = ends[live]
-        for v in range(n):
-            src = layer[(ends >> v) & 1 == 1]
-            if src.size == 0:
-                continue
-            for w in bits(g.adj[v]):
-                tgt = src[(src >> w) & 1 == 0] + (1 << w)
-                if tgt.size:
-                    dp[tgt] = dp[tgt] | (1 << w)
+        for w in range(shift, n):
+            bit = 1 << (w - shift)
+            hit = ((ends & g.adj[w]) != 0) & ((sets & bit) == 0)
+            # distinct sets stay distinct once w is added, so the fancy
+            # OR below never drops a write
+            tgt = sets[hit] | bit
+            dp[tgt] |= 1 << w
     return dp
 
 
@@ -83,8 +105,8 @@ def has_hamilton_cycle(g: Graph) -> bool:
     _check_order(g)
     if g.n < 3 or not is_connected(g) or g.min_degree() < 2:
         return False
-    dp = _run_dp(g, start_mask=1)
-    return bool(dp[(1 << g.n) - 1] & g.adj[0])
+    dp = _run_dp(g, anchored=True)
+    return bool(dp[-1] & g.adj[0])
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ labeled graphs.
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 
 from clawtrace.errors import OrderOutOfRange
 from clawtrace.graph import Graph
@@ -185,3 +186,15 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
         if rng.random() < p
     ]
     return from_edges(n, edges)
+
+
+@st.composite
+def graphs(draw, min_n=1, max_n=8):
+    """Hypothesis strategy: a graph of order min_n..max_n, each pair an
+    edge or not."""
+    from clawtrace.graph import from_edges
+
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return from_edges(n, [e for e, keep in zip(pairs, chosen) if keep])

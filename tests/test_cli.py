@@ -261,6 +261,22 @@ def test_usage_errors_raise_systemexit():
     assert ei.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--spectral-tol", "--cmp-tol"])
+def test_tolerances_only_where_spectra_are_computed(flag, capsys):
+    for argv in (["construct", "net"], ["closure", "A_"], ["enumerate", "--n", "3"]):
+        with pytest.raises(SystemExit) as ei:
+            cli.run(argv + [flag, "5"])
+        assert ei.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+    parser = cli.build_parser()
+    for argv in (["analyze", "A_"], ["spectral", "A_"],
+                 ["verify", "main-mu", "--n-min", "4", "--n-max", "4"],
+                 ["hunt", "--theorem", "main-mu", "--n", "8", "--seed", "1",
+                  "--count", "1"]):
+        args = parser.parse_args(argv + [flag, "5"])
+        assert getattr(args, flag[2:].replace("-", "_")) == 5.0
+
+
 def test_hunt_json(capsys):
     rc = cli.run(["hunt", "--theorem", "main-mu", "--n", "8",
                   "--seed", "3", "--count", "20", "--format", "json"])

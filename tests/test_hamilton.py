@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from clawtrace.errors import OrderTooLargeForExact
 from clawtrace.families import complete, complete_split, nn33, star
@@ -7,12 +10,14 @@ from clawtrace.graph import disjoint_union, from_edges
 from clawtrace.hamilton import (
     MAX_EXACT,
     HamiltonWitness,
+    _run_dp,
     find_hamilton_path,
     has_hamilton_cycle,
     has_hamilton_path,
 )
 
 from oracles import (
+    graphs,
     hamilton_cycle_brute,
     hamilton_path_brute,
     random_graph,
@@ -110,3 +115,65 @@ def test_larger_structured_instances():
     assert has_hamilton_path(path_graph(22))
     w = find_hamilton_path(cycle_graph(18))
     assert w is not None and witness_is_valid(cycle_graph(18), w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_dp_agrees_with_permutation_oracles(g):
+    assert has_hamilton_cycle(g) == hamilton_cycle_brute(g)
+    path = hamilton_path_brute(g)
+    assert has_hamilton_path(g) == path
+    w = find_hamilton_path(g)
+    assert (w is not None) == path
+    assert w is None or witness_is_valid(g, w)
+
+
+def subset_dp(g, starts):
+    """dp[S] = endpoints of the paths that start in `starts` and cover
+    exactly S, by a plain loop over the sets in increasing order (a set
+    comes before each of its supersets)."""
+    dp = [0] * (1 << g.n)
+    for v in starts:
+        dp[1 << v] = 1 << v
+    for s in range(1 << g.n):
+        for v in range(g.n):
+            if dp[s] >> v & 1:
+                for w in range(g.n):
+                    if g.has_edge(v, w) and not s >> w & 1:
+                        dp[s | 1 << w] |= 1 << w
+    return dp
+
+
+def assert_tables_match(g):
+    assert _run_dp(g).tolist() == subset_dp(g, range(g.n))
+    # anchored index t stands for the set {0} plus vertex v at bit v - 1
+    anchored = subset_dp(g, [0])
+    assert _run_dp(g, anchored=True).tolist() == [
+        anchored[t << 1 | 1] for t in range(1 << (g.n - 1))
+    ]
+
+
+def test_dp_tables_match_subset_loop_on_every_small_graph():
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            g = from_edges(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+            assert_tables_match(g)
+
+
+def test_dp_tables_match_subset_loop_on_random_graphs():
+    rng = np.random.default_rng(97)
+    for _ in range(40):
+        n = int(rng.integers(6, 11))
+        assert_tables_match(random_graph(rng, n, rng.random()))
+
+
+def test_anchor_of_degree_two():
+    # vertex 0 has degree 2 in each; K_{2,3} has no Hamilton cycle, the
+    # hexagon with a chord and C_9 do
+    k23 = from_edges(5, [(a, b) for a in (1, 2) for b in (0, 3, 4)])
+    chorded = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)])
+    for g, cycle in ((k23, False), (chorded, True), (cycle_graph(9), True)):
+        assert g.degree(0) == 2
+        assert has_hamilton_cycle(g) == cycle == hamilton_cycle_brute(g)
+        assert_tables_match(g)

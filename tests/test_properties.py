@@ -19,6 +19,8 @@ from clawtrace.enumeration import (
 from clawtrace.graph import Graph, from_edges, induced, relabel
 from clawtrace.structure import is_claw_free
 
+from oracles import graphs
+
 CLAW_FREE = [g for n in range(1, 8) for g in exhaustive_list(n, ("claw-free",))]
 
 
@@ -27,14 +29,6 @@ def _nx(g: Graph) -> nx.Graph:
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
     return h
-
-
-@st.composite
-def graphs(draw, min_n=1, max_n=8):
-    n = draw(st.integers(min_n, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return from_edges(n, [e for e, keep in zip(pairs, chosen) if keep])
 
 
 @settings(max_examples=300, deadline=None)
