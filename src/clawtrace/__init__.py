@@ -1,9 +1,9 @@
 """Verification toolkit for spectral traceability conditions on claw-free graphs.
 
 The package enumerates small claw-free graphs up to isomorphism, computes
-spectral radii with certified residuals, decides traceability exactly, and
-checks a registry of threshold statements against those corpora, reporting
-every exception graph it meets along the way.
+spectral radii with a direct eigensolver and its error bound, decides
+traceability exactly, and checks a registry of threshold statements against
+those corpora, reporting every exception graph it meets along the way.
 """
 
 from .canon import are_isomorphic, canonical_form, canonical_labeling

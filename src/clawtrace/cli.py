@@ -28,13 +28,7 @@ from .graph import (
     popcount,
 )
 from .hamilton import MAX_EXACT, has_hamilton_cycle, has_hamilton_path
-from .spectral import (
-    DEFAULT_CMP_TOL,
-    DEFAULT_TOL,
-    hofmeister_bound,
-    hong_bound,
-    spectral_radius,
-)
+from .spectral import DEFAULT_CMP_TOL, hofmeister_bound, hong_bound, spectral_radius
 from .structure import closure, find_induced, is_claw_free, is_closed
 from .verify import REGISTRY, hunt, verify
 
@@ -103,7 +97,7 @@ def _print_kv(info: dict) -> None:
 # subcommands
 
 
-def _analyze_one(g: Graph, spectral_tol: float) -> dict:
+def _analyze_one(g: Graph) -> dict:
     comps = components(g)
     connected = len(comps) == 1
     info: dict = {
@@ -125,7 +119,7 @@ def _analyze_one(g: Graph, spectral_tol: float) -> dict:
         info["block_chain"] = False
     claw_free = is_claw_free(g)
     info["claw_free"] = claw_free
-    info["spectral_radius"] = spectral_radius(g, spectral_tol).value
+    info["spectral_radius"] = spectral_radius(g).value
     info["hong_bound"] = hong_bound(g) if connected else None
     info["hofmeister_bound"] = hofmeister_bound(g)
     exact = g.n <= MAX_EXACT
@@ -141,7 +135,7 @@ def _analyze_one(g: Graph, spectral_tol: float) -> dict:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     first = True
     for g in _input_graphs(args.graph):
-        info = _analyze_one(g, args.spectral_tol)
+        info = _analyze_one(g)
         if args.format == "json":
             print(json.dumps(info))
         else:
@@ -193,7 +187,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_spectral(args: argparse.Namespace) -> int:
     for g in _input_graphs(args.graph):
         target = complement(g) if args.complement else g
-        est = spectral_radius(target, args.spectral_tol)
+        est = spectral_radius(target)
         info = {
             "graph6": graph6.encode(g),
             "complement": args.complement,
@@ -256,7 +250,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         density=args.density,
         workers=args.workers,
         cmp_tol=args.cmp_tol,
-        spectral_tol=args.spectral_tol,
     )
     if args.format == "json":
         d = report.to_dict()
@@ -276,7 +269,6 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         density=args.density,
         top=args.top,
         cmp_tol=args.cmp_tol,
-        spectral_tol=args.spectral_tol,
     )
     if args.format == "json":
         d = report.to_dict()
@@ -303,14 +295,10 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    # only the subcommands that compute spectra take the tolerances
+    # only the subcommands that compute spectra take the tolerance
     tolerances = argparse.ArgumentParser(add_help=False)
     # the environment is read here only; argparse converts a string default
     # with `type`, so a malformed value is a usage error
-    tolerances.add_argument("--spectral-tol", type=float,
-                            default=os.environ.get("SPECTRAL_TOL", DEFAULT_TOL),
-                            help="power iteration residual tolerance (default "
-                                 "%(default)s; set by SPECTRAL_TOL when present)")
     tolerances.add_argument("--cmp-tol", type=float,
                             default=os.environ.get("CMP_TOL", DEFAULT_CMP_TOL),
                             help="threshold comparison tolerance (default "

@@ -1,17 +1,19 @@
 """Exact Hamilton path and cycle decision with witness extraction.
 
-The core is a subset dynamic program over (visited set, endpoint) states.
-States are stored as one endpoint bitmask per visited set in a flat numpy
-int32 array indexed by the set.  Sets are processed layer by layer in order
-of size, so every transition flows from one layer to the next, and each
-layer costs one vectorized pass per target vertex w: every live set that
-misses w and has an endpoint adjacent to w gains w as an endpoint of the
-set with w added.  The sets of each size are built once per order and
-cached, so a sweep over many graphs of one order never rebuilds them.
+The core is a subset dynamic program over the paths that start at vertex 0:
+for each set S of the other vertices it stores, as one int32 bitmask, the
+endpoints of the paths that start at 0 and cover exactly {0} and S.  Sets
+are processed layer by layer in order of size, so every transition flows
+from one layer to the next, and each layer costs one vectorized pass per
+target vertex w: every live set that misses w and has an endpoint adjacent
+to w gains w as an endpoint of the set with w added.  The sets of each size
+are built once per order and cached, so a sweep over many graphs of one
+order never rebuilds them.
 
-The cycle DP is anchored: a Hamilton cycle passes through vertex 0, so it
-only tracks paths that start at 0 and indexes only the sets over vertices
-1..n-1, half the states of the path DP.
+A Hamilton cycle passes through vertex 0, so the cycle test runs the DP on
+g itself.  g has a Hamilton path exactly when g plus an apex joined to every
+vertex has one that starts at the apex, so the path tests run the same DP
+on that graph, with the apex as vertex 0.
 """
 from __future__ import annotations
 
@@ -51,24 +53,16 @@ def _layers(m: int) -> tuple[np.ndarray, ...]:
     return tuple(layers)
 
 
-def _run_dp(g: Graph, anchored: bool = False) -> np.ndarray:
-    """dp[visited] = bitmask of endpoints reachable by a path covering
-    exactly the visited set.  Unanchored, paths start anywhere and the
-    table has 2^n entries; anchored, paths start at vertex 0, vertex v is
-    bit v - 1 of the index, and the table has 2^(n-1) entries, entry 0
-    being the path {0}.  Endpoint masks always use the vertex numbers."""
+def _run_dp(g: Graph) -> np.ndarray:
+    """dp[visited] = bitmask of the endpoints of the paths that start at
+    vertex 0 and cover exactly {0} plus the visited set.  Vertex v is bit
+    v - 1 of the index, so the table has 2^(n-1) entries, entry 0 being
+    the path {0}; endpoint masks use the vertex numbers."""
     n = g.n
-    shift = 1 if anchored else 0
-    m = n - shift
-    dp = np.zeros(1 << m, dtype=np.int32)
-    if anchored:
-        dp[0] = 1
-    else:
-        for v in range(n):
-            dp[1 << v] = 1 << v
-    layers = _layers(m)
-    # the first layer that holds a path: the singletons, or anchored {0}
-    for k in range(1 - shift, m):
+    dp = np.zeros(1 << (n - 1), dtype=np.int32)
+    dp[0] = 1
+    layers = _layers(n - 1)
+    for k in range(n - 1):
         sets = layers[k]
         ends = dp[sets]
         live = ends != 0
@@ -76,8 +70,8 @@ def _run_dp(g: Graph, anchored: bool = False) -> np.ndarray:
             break
         sets = sets[live]
         ends = ends[live]
-        for w in range(shift, n):
-            bit = 1 << (w - shift)
+        for w in range(1, n):
+            bit = 1 << (w - 1)
             hit = ((ends & g.adj[w]) != 0) & ((sets & bit) == 0)
             # distinct sets stay distinct once w is added, so the fancy
             # OR below never drops a write
@@ -86,27 +80,30 @@ def _run_dp(g: Graph, anchored: bool = False) -> np.ndarray:
     return dp
 
 
+def _with_apex(g: Graph) -> Graph:
+    """g shifted up one label, plus vertex 0 joined to every vertex.  Its
+    _run_dp table, shifted right one bit, is indexed by the sets of g and
+    holds the endpoints of the paths of g covering each set."""
+    rows = tuple(r << 1 | 1 for r in g.adj)
+    return Graph(g.n + 1, (g.vertex_mask << 1,) + rows, g.m + g.n)
+
+
 def has_hamilton_path(g: Graph) -> bool:
     """True iff some path visits every vertex once.  Disconnected graphs
     are never traceable."""
     _check_order(g)
     if not is_connected(g):
         return False
-    if g.n == 1:
-        return True
-    dp = _run_dp(g)
-    return bool(dp[(1 << g.n) - 1] != 0)
+    return bool(_run_dp(_with_apex(g))[-1] != 0)
 
 
 def has_hamilton_cycle(g: Graph) -> bool:
-    """True iff some cycle visits every vertex once (needs n >= 3).  The
-    DP is anchored at vertex 0; success means a spanning path from 0 whose
-    far endpoint sees 0."""
+    """True iff some cycle visits every vertex once (needs n >= 3).
+    Success means a spanning path from 0 whose far endpoint sees 0."""
     _check_order(g)
     if g.n < 3 or not is_connected(g) or g.min_degree() < 2:
         return False
-    dp = _run_dp(g, anchored=True)
-    return bool(dp[-1] & g.adj[0])
+    return bool(_run_dp(g)[-1] & g.adj[0])
 
 
 @dataclass(frozen=True)
@@ -125,11 +122,9 @@ def find_hamilton_path(g: Graph) -> HamiltonWitness | None:
     _check_order(g)
     if not is_connected(g):
         return None
-    if g.n == 1:
-        return HamiltonWitness("Path", (0,))
-    dp = _run_dp(g)
-    full = (1 << g.n) - 1
-    ends = int(dp[full])
+    dp = _run_dp(_with_apex(g))
+    full = g.vertex_mask
+    ends = int(dp[full]) >> 1
     if ends == 0:
         return None
     e = next(bits(ends))
@@ -137,7 +132,7 @@ def find_hamilton_path(g: Graph) -> HamiltonWitness | None:
     mask = full
     while mask != 1 << seq[-1]:
         mask ^= 1 << seq[-1]
-        prev = int(dp[mask]) & g.adj[seq[-1]] & mask
+        prev = int(dp[mask]) >> 1 & g.adj[seq[-1]] & mask
         seq.append(next(bits(prev)))
     seq.reverse()
     return HamiltonWitness("Path", tuple(seq))

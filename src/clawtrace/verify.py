@@ -55,7 +55,6 @@ from .graph import (
 from .hamilton import MAX_EXACT, has_hamilton_cycle, has_hamilton_path
 from .spectral import (
     DEFAULT_CMP_TOL,
-    DEFAULT_TOL,
     SpectralEstimate,
     ThresholdVerdict,
     compare_threshold,
@@ -341,15 +340,14 @@ class TheoremSpec:
 
 
 class _Context:
-    def __init__(self, n: int, cmp_tol: float, spectral_tol: float, borderline_hook):
+    def __init__(self, n: int, cmp_tol: float, borderline_hook):
         self.n = n
         self.cmp_tol = cmp_tol
-        self.spectral_tol = spectral_tol
         self.borderline_hook = borderline_hook
         self._complement_threshold: float | None = None
 
     def mu(self, g: Graph) -> SpectralEstimate:
-        return spectral_radius(g, self.spectral_tol)
+        return spectral_radius(g)
 
     def complement_threshold(self) -> float:
         # largest complement eigenvalue of the pendant family at this order
@@ -656,16 +654,16 @@ def verify(
     density: float = 0.9,
     workers: int = 1,
     cmp_tol: float = DEFAULT_CMP_TOL,
-    spectral_tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Run one theorem verifier over [n_min, n_max].
 
     Exhaustive mode sweeps every isomorphism class of the theorem's corpus;
     sample mode draws `count` seeded dense graphs split evenly across the
     orders (per-order seed is seed + n).  Counterexamples never raise; they
-    land in the report as Unmatched exceptions.  spectral_tol is the power
-    iteration residual target and cmp_tol the threshold comparison slack; a
-    graph whose estimate does not converge is listed as borderline.
+    land in the report as Unmatched exceptions.  cmp_tol is the threshold
+    comparison slack, to which each comparison adds the estimate's own error
+    bound; a graph whose margin lies within that slack is listed as
+    borderline and still checked.
     """
     if theorem not in REGISTRY:
         raise InfeasibleRange(f"unknown theorem id {theorem!r}")
@@ -701,9 +699,7 @@ def verify(
     sweep = exhaustive_orders(spec.chain, n_min, n_max, workers)
     with closing(sweep):
         for idx, n in enumerate(orders):
-            ctx = _Context(
-                n, cmp_tol, spectral_tol, lambda g: borderline.append(_render(g))
-            )
+            ctx = _Context(n, cmp_tol, lambda g: borderline.append(_render(g)))
 
             def consume(g: Graph, ctx=ctx) -> None:
                 nonlocal checked
@@ -777,7 +773,6 @@ def hunt(
     density: float = 0.9,
     top: int = 10,
     cmp_tol: float = DEFAULT_CMP_TOL,
-    spectral_tol: float = DEFAULT_TOL,
 ) -> HuntReport:
     """Sampled counterexample search at one order.
 
@@ -793,7 +788,7 @@ def hunt(
     if n < spec.floor_n:
         raise InfeasibleRange(f"{theorem} applies from n = {spec.floor_n}, got {n}")
     t0 = time.perf_counter()
-    ctx = _Context(n, cmp_tol, spectral_tol, lambda g: None)
+    ctx = _Context(n, cmp_tol, lambda g: None)
     checked = 0
     counterexamples: list[tuple[str, str]] = []
     misses: list[tuple[float, str]] = []
@@ -832,21 +827,7 @@ def hunt(
 
 def _is_pendant_family(g: Graph) -> bool:
     """Exact structural test for the clique-with-three-pendant-edges graph
-    at any order (used where canonical matching is out of range)."""
-    if g.n < 6:
-        return False
-    pendants = [v for v in range(g.n) if g.degree(v) == 1]
-    if len(pendants) != 3:
-        return False
-    attach = set()
-    for p in pendants:
-        attach.add(next(bits(g.adj[p])))
-    if len(attach) != 3 or attach & set(pendants):
-        return False
-    core = g.vertex_mask
-    for p in pendants:
-        core &= ~(1 << p)
-    for v in bits(core):
-        if core & ~g.adj[v] & ~(1 << v):
-            return False
-    return True
+    at any order (used where canonical matching is out of range): a
+    spanning subgraph of N_{n-3,3} with all of its edges is the graph
+    itself."""
+    return is_spanning_subgraph_of_pendant_family(g) and g.m == math.comb(g.n - 3, 2) + 3

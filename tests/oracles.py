@@ -1,10 +1,10 @@
 """Independent oracles: brute force and dense linear algebra only.
 
 Nothing here shares algorithmic code with the package.  Spectral radii come
-from numpy's symmetric eigensolver, Hamilton paths from permutation scans,
-induced-subgraph hits from subset enumeration, isomorphism from permutation
-search, and isomorphism-class counts from permutation-orbit marking over all
-labeled graphs.
+from numpy's general eigensolver (the package uses the symmetric one),
+Hamilton paths from permutation scans, induced-subgraph hits from subset
+enumeration, isomorphism from permutation search, and isomorphism-class
+counts from permutation-orbit marking over all labeled graphs.
 """
 import itertools
 
@@ -23,9 +23,8 @@ def adjacency(g: Graph) -> np.ndarray:
 
 
 def mu_dense(g: Graph) -> float:
-    if g.n == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(adjacency(g))[-1])
+    # LAPACK geev, not the package's syevd: the two share no code path
+    return float(np.linalg.eigvals(adjacency(g)).real.max())
 
 
 def hamilton_path_brute(g: Graph) -> bool:

@@ -130,16 +130,11 @@ def test_spectral_complement_flag(capsys):
     assert comp["complement"] is True and plain["converged"] is True
 
 
-def test_spectral_tol_flag_reaches_estimator(capsys, monkeypatch):
-    monkeypatch.delenv("SPECTRAL_TOL", raising=False)
-    s = graph6.encode(nn33(9))
-    assert cli.run(["spectral", s, "--format", "json"]) == 0
-    tight = json.loads(capsys.readouterr().out)
-    assert cli.run(["spectral", s, "--spectral-tol", "1e-2", "--format", "json"]) == 0
-    loose = json.loads(capsys.readouterr().out)
-    assert loose["converged"] and tight["converged"]
-    assert loose["iterations"] < tight["iterations"]
-    assert loose["residual"] <= 1e-2
+def test_spectral_accepts_order_64(capsys):
+    assert cli.run(["spectral", graph6.encode(complete(64)), "--format", "json"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert abs(d["value"] - 63.0) < 1e-9
+    assert d["iterations"] == 0 and d["converged"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +258,22 @@ def test_usage_errors_raise_systemexit():
 
 @pytest.mark.parametrize("flag", ["--spectral-tol", "--cmp-tol"])
 def test_tolerances_only_where_spectra_are_computed(flag, capsys):
-    for argv in (["construct", "net"], ["closure", "A_"], ["enumerate", "--n", "3"]):
+    # the eigensolver is direct, so no subcommand takes --spectral-tol
+    spectral = (["analyze", "A_"], ["spectral", "A_"],
+                ["verify", "main-mu", "--n-min", "4", "--n-max", "4"],
+                ["hunt", "--theorem", "main-mu", "--n", "8", "--seed", "1",
+                 "--count", "1"])
+    plain = (["construct", "net"], ["closure", "A_"], ["enumerate", "--n", "3"])
+    refusing = plain + spectral if flag == "--spectral-tol" else plain
+    for argv in refusing:
         with pytest.raises(SystemExit) as ei:
             cli.run(argv + [flag, "5"])
         assert ei.value.code == 2
         assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
-    parser = cli.build_parser()
-    for argv in (["analyze", "A_"], ["spectral", "A_"],
-                 ["verify", "main-mu", "--n-min", "4", "--n-max", "4"],
-                 ["hunt", "--theorem", "main-mu", "--n", "8", "--seed", "1",
-                  "--count", "1"]):
-        args = parser.parse_args(argv + [flag, "5"])
-        assert getattr(args, flag[2:].replace("-", "_")) == 5.0
+    if flag == "--cmp-tol":
+        parser = cli.build_parser()
+        for argv in spectral:
+            assert parser.parse_args(argv + [flag, "5"]).cmp_tol == 5.0
 
 
 def test_hunt_json(capsys):

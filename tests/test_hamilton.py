@@ -11,6 +11,7 @@ from clawtrace.hamilton import (
     MAX_EXACT,
     HamiltonWitness,
     _run_dp,
+    _with_apex,
     find_hamilton_path,
     has_hamilton_cycle,
     has_hamilton_path,
@@ -145,11 +146,16 @@ def subset_dp(g, starts):
 
 
 def assert_tables_match(g):
-    assert _run_dp(g).tolist() == subset_dp(g, range(g.n))
-    # anchored index t stands for the set {0} plus vertex v at bit v - 1
+    # index t stands for the set {0} plus vertex v at bit v - 1
     anchored = subset_dp(g, [0])
-    assert _run_dp(g, anchored=True).tolist() == [
+    assert _run_dp(g).tolist() == [
         anchored[t << 1 | 1] for t in range(1 << (g.n - 1))
+    ]
+    # through the apex, index t is a set of g and endpoints move up one bit;
+    # entry 0 is the path {apex}
+    paths = subset_dp(g, range(g.n))
+    assert _run_dp(_with_apex(g)).tolist() == [
+        paths[t] << 1 | (t == 0) for t in range(1 << g.n)
     ]
 
 

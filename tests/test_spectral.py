@@ -17,7 +17,6 @@ from clawtrace.families import (
 from clawtrace.graph import complement, disjoint_union, from_edges
 from clawtrace.spectral import (
     DEFAULT_CMP_TOL,
-    DEFAULT_TOL,
     SpectralEstimate,
     ThresholdVerdict,
     compare_threshold,
@@ -53,19 +52,19 @@ def test_exact_values():
         assert abs(spectral_radius(path_graph(n)).value - want) < 1e-9
 
 
-def test_power_iteration_agrees_with_dense_eigensolver():
+def test_spectral_radius_agrees_with_nonsymmetric_eigensolver():
     rng = np.random.default_rng(41)
     for _ in range(120):
         n = int(rng.integers(1, 13))
         g = random_graph(rng, n, rng.random())
         est = spectral_radius(g)
         assert est.converged
-        assert abs(est.value - mu_dense(g)) < 1e-8, (g, est)
+        assert abs(est.value - mu_dense(g)) < 1e-12, (g, est)
 
 
 def test_bipartite_components_handled():
-    # stars, paths and even cycles all have +/- paired spectra where an
-    # unshifted iteration oscillates; the shift must still converge
+    # stars, paths and even cycles all have +/- paired spectra, so the
+    # radius is also the magnitude of the smallest eigenvalue
     rng = np.random.default_rng(43)
     for n in (2, 4, 6, 10, 15):
         assert abs(spectral_radius(star(n)).value - math.sqrt(n - 1)) < 1e-9
@@ -84,6 +83,11 @@ def test_bipartite_components_handled():
         assert abs(spectral_radius(g).value - mu_dense(g)) < 1e-8
 
 
+def test_order_64_input():
+    # rows of K_64 overflow int64, so the matrix must be built unsigned
+    assert abs(spectral_radius(complete(64)).value - 63.0) < 1e-9
+
+
 def test_disconnected_takes_max_over_components():
     g = disjoint_union(complete(4), star(6))
     assert abs(spectral_radius(g).value - 3.0) < 1e-9
@@ -96,9 +100,8 @@ def test_residual_certificate():
     for _ in range(40):
         g = random_graph(rng, int(rng.integers(2, 12)), 0.5)
         est = spectral_radius(g)
-        assert est.residual <= DEFAULT_TOL
-        if g.m > 0:
-            assert est.iterations >= 1
+        assert est.converged and est.iterations == 0
+        assert 0 <= est.residual <= 1e-12 * max(1, est.value)
 
 
 def test_closed_forms_match_each_other_and_the_oracle():
@@ -158,7 +161,13 @@ def test_compare_threshold_verdicts():
         ThresholdVerdict.BORDERLINE
     )
     assert compare_threshold(est, 4.0, cmp_tol=2.0) == ThresholdVerdict.BORDERLINE
-    # an unconverged estimate certifies neither side of any threshold
+    # the estimate's own error bound widens the borderline band
+    rough = SpectralEstimate(5.0, 0, True, 0.5)
+    assert compare_threshold(rough, 4.6) == ThresholdVerdict.BORDERLINE
+    assert compare_threshold(rough, 5.4) == ThresholdVerdict.BORDERLINE
+    assert compare_threshold(rough, 4.4) == ThresholdVerdict.ABOVE
+    assert compare_threshold(rough, 5.6) == ThresholdVerdict.BELOW
+    # an estimate whose error bound covers the margin certifies neither side
     unconverged = SpectralEstimate(5.0, 99, False, 1.0)
     assert compare_threshold(unconverged, 4.0) == ThresholdVerdict.BORDERLINE
     assert compare_threshold(unconverged, 6.0) == ThresholdVerdict.BORDERLINE

@@ -19,11 +19,12 @@ from clawtrace.families import (
 )
 from clawtrace.graph import disjoint_union, from_edges, join, relabel
 from clawtrace.hamilton import has_hamilton_path
-from clawtrace.enumeration import sample_dense_claw_free
+from clawtrace.enumeration import exhaustive_list, sample_dense_claw_free
 from clawtrace.spectral import spectral_radius
 from clawtrace.verify import (
     THEOREM_IDS,
     REGISTRY,
+    _is_pendant_family,
     decide_traceable,
     hunt,
     is_spanning_subgraph_of_pendant_family,
@@ -99,6 +100,23 @@ def test_spanning_subgraph_of_pendant_family():
     from clawtrace.families import star
 
     assert not is_spanning_subgraph_of_pendant_family(star(9))  # shared attach point
+
+
+def test_pendant_family_test_agrees_with_canonical_matching():
+    for n in (6, 7):
+        target = canonical_form(nn33(n))
+        for g in exhaustive_list(n, ()):
+            assert _is_pendant_family(g) == (canonical_form(g) == target), g
+
+
+def test_pendant_family_test_beyond_canonical_range():
+    rng = np.random.default_rng(103)
+    for n in range(9, 31):
+        g = relabel(nn33(n), list(rng.permutation(n)))
+        assert _is_pendant_family(g)
+        edges = list(g.edges())
+        for e in edges:
+            assert not _is_pendant_family(from_edges(n, [f for f in edges if f != e]))
 
 
 # ---------------------------------------------------------------------------
@@ -217,20 +235,6 @@ def test_cmp_tol_widens_borderline():
     # tolerance pulls sub-threshold non-traceable graphs in as Unmatched
     extra = set(loose.exceptions) - set(tight.exceptions)
     assert extra and all(label == "Unmatched" for _, label in extra)
-
-
-def test_unconverged_estimates_are_borderline():
-    # no residual reaches 1e-30, so every graph with an edge runs out of
-    # iterations; it is listed as borderline instead of aborting the run,
-    # and its conclusion is still checked
-    r = verify("FiedlerNikiforov1", 3, 3, spectral_tol=1e-30)
-    k2_k1 = canonical_form(complete_plus_isolated(3))
-    p3 = canonical_form(from_edges(3, [(0, 1), (1, 2)]))
-    assert r.checked == 4
-    assert r.borderline == tuple(sorted((k2_k1, p3, canonical_form(complete(3)))))
-    assert r.exceptions == ((k2_k1, "CompletePlusIsolated(3)"),)
-    assert r.passed
-    assert verify("FiedlerNikiforov1", 3, 3).borderline == (k2_k1,)
 
 
 def test_report_serializes():
