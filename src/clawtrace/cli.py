@@ -295,7 +295,8 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    # only the subcommands that compute spectra take the tolerance
+    # only the subcommands that compare a spectrum with a threshold take
+    # the tolerance
     tolerances = argparse.ArgumentParser(add_help=False)
     # the environment is read here only; argparse converts a string default
     # with `type`, so a malformed value is a usage error
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("analyze", parents=[common, tolerances],
+    p = sub.add_parser("analyze", parents=[common],
                        help="report structure and spectra of graph6 input")
     p.add_argument("graph", help="graph6 string, or - for stdin lines")
     p.set_defaults(func=_cmd_analyze)
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", type=int, nargs="*")
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("spectral", parents=[common, tolerances],
+    p = sub.add_parser("spectral", parents=[common],
                        help="spectral radius of the graph or its complement")
     p.add_argument("graph", help="graph6 string, or - for stdin lines")
     p.add_argument("--complement", action="store_true")

@@ -15,7 +15,11 @@ classes of each requested order in turn.
 Sample mode starts from the complete graph and deletes uniformly chosen
 edges, rejecting deletions that create an induced claw or disconnect the
 graph, which concentrates samples near the dense regimes the spectral
-verifiers probe.
+verifiers probe.  The sampler works in place: it keeps one lexicographic
+edge list and drops an edge from it only once its deletion is accepted.
+A deletion is tested locally: a new claw must use the removed pair as two
+of its leaves, and the graph stays connected iff one endpoint still
+reaches the other.
 """
 from __future__ import annotations
 
@@ -335,18 +339,35 @@ def sample_dense_claw_free(n: int, target_m: int, seed: int) -> Graph:
                 return True
         return False
 
-    m = n * (n - 1) // 2
+    def still_connected(u: int, v: int) -> bool:
+        # the graph was connected with u-v, so it still is iff u reaches v
+        nv = rows[v]
+        seen = frontier = 1 << u
+        while frontier:
+            if frontier & nv:
+                return True
+            reach = 0
+            for w in bits(frontier):
+                reach |= rows[w]
+            frontier = reach & ~seen
+            seen |= frontier
+        return False
+
+    # the current edges in lexicographic order; a deletion keeps the order,
+    # so each draw permutes the same list the graph's edges would give
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    m = len(edges)
     while m > target_m:
-        edges = [(u, v) for u in range(n) for v in bits(rows[u] >> (u + 1) << (u + 1))]
         removed = False
-        for idx in rng.permutation(len(edges)):
-            u, v = edges[int(idx)]
+        for idx in rng.permutation(m).tolist():
+            u, v = edges[idx]
             rows[u] &= ~(1 << v)
             rows[v] &= ~(1 << u)
-            if creates_claw(u, v) or not is_connected(Graph(n, tuple(rows), m - 1)):
+            if creates_claw(u, v) or not still_connected(u, v):
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
                 continue
+            del edges[idx]
             m -= 1
             removed = True
             break

@@ -85,15 +85,14 @@ def find_induced(g: Graph, pattern: Graph) -> Optional[VertexSet]:
 
 def is_claw_free(g: Graph) -> bool:
     """True iff no vertex has three pairwise nonadjacent neighbors."""
-    for v in range(g.n):
-        nbrs = list(bits(g.adj[v]))
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1 :]:
-                if g.adj[a] >> b & 1:
-                    continue
-                # third leg: a neighbor of v avoiding both a and b
-                rest = g.adj[v] & ~g.adj[a] & ~g.adj[b] & ~(1 << a | 1 << b)
-                if rest:
+    adj = g.adj
+    for nv in adj:
+        for a in bits(nv):
+            # the legs that can join a: neighbors of v outside N[a], few
+            # on dense graphs; b > a there, and a third leg avoids N[b]
+            rest = nv & ~adj[a] & ~(1 << a)
+            for b in bits(rest >> (a + 1) << (a + 1)):
+                if rest & ~adj[b] & ~(1 << b):
                     return False
     return True
 

@@ -8,13 +8,14 @@ go through compare_threshold, and Borderline graphs are listed separately
 while still being conclusion-checked, so floating-point slack can hide
 nothing.
 
-Traceability of corpus graphs beyond the exact solver's reach (sampled
-orders above 24) is decided by an exact cascade: structural no-certificates,
-the claw-free closure, then the degree-sum path closure, then a
-rotation-extension path search.  Both closures preserve traceability
-exactly, so every cascade answer is a certificate; a graph the cascade
-cannot decide is reported as Unmatched, which fails the run rather than
-silently passing it.
+Traceability is decided by an exact cascade, cheapest certificate first:
+the degree-sum path closure of the graph itself, structural
+no-certificates, the claw-free closure followed by the path closure, a
+rotation-extension path search, and the exact solver up to order 24.  Both
+closures preserve traceability exactly, so every cascade answer is a
+certificate; a graph the cascade cannot decide (sampled orders above 24)
+is reported as Unmatched, which fails the run rather than silently passing
+it.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ from .enumeration import (
 from .errors import (
     InfeasibleRange,
     InvalidParams,
+    NotClawFree,
     OrderOutOfRange,
     OrderTooLargeForCanonical,
 )
@@ -163,12 +165,23 @@ def _rotation_path(g: Graph) -> Optional[list[int]]:
 def decide_traceable(g: Graph) -> Optional[bool]:
     """True/False with certainty, or None when undecided.
 
-    Every answer is exact: the no-certificates are necessary conditions,
-    the exact solver covers n <= 24, and above that the claw-free closure
-    and the degree-sum path closure both preserve traceability, so a
-    closure reaching the complete graph or a concrete path found in the
+    The cascade runs in this order: the degree-sum path closure of g, the
+    structural no-certificates, the claw-free closure followed by the path
+    closure, a rotation-extension path search in the closed graph, and the
+    exact solver for n <= 24.  Every answer is exact: the no-certificates
+    are necessary conditions, and both closures preserve traceability, so
+    a closure reaching the complete graph or a concrete path found in the
     closed graph certifies the original.
     """
+    # The (n-1)-closure preserves Hamilton paths (Bondy-Chvatal) and is
+    # monotone: G a subgraph of H gives cl(G) a subgraph of cl(H).  So when
+    # cl(g) is complete, g is traceable, no no-certificate below can fire,
+    # and the path closure of any supergraph of g, the claw-free closure
+    # included, is complete too: the full cascade would answer True as
+    # well, at every order.  Dense samples almost always stop here.
+    path_closed = _path_closure(g)
+    if is_complete(path_closed):
+        return True
     if not is_connected(g):
         return False
     if sum(1 for v in range(g.n) if g.degree(v) == 1) >= 3:
@@ -176,8 +189,10 @@ def decide_traceable(g: Graph) -> Optional[bool]:
     if g.n >= 3 and _has_heavy_cut_vertex(g):
         return False
     # cheap yes-certificates first: the exact solver is exponential in n
-    h = closure(g).closed if is_claw_free(g) else g
-    h = _path_closure(h)
+    try:
+        h = _path_closure(closure(g).closed)
+    except NotClawFree:
+        h = path_closed
     if is_complete(h):
         return True
     if _rotation_path(h) is not None:

@@ -58,3 +58,10 @@ EXHAUSTIVE_ORDER_SHA256 = {
     (9, ("connected", "claw-free")):
         "2bb2789b32899a95f8441dfb87e8ff4b1c7397ea19c729ffd0fbbde49359972a",
 }
+
+# regression-only: sha256 of the newline-joined lines that
+# test_enumerate._sampler_grid_lines gives (one graph6 per grid point, or
+# "<graph6> stuck <achieved_m>" for a stuck run), taken from the package's
+# sampler before it kept its edge list between deletions.  38 of the 100
+# grid points are stuck.
+SAMPLER_GRID_SHA256 = "b0b6b79e3fc8a6e2f2790013acfe17281bd68c1f820b515b889cc4a744cbafa8"

@@ -258,13 +258,14 @@ def test_usage_errors_raise_systemexit():
 
 @pytest.mark.parametrize("flag", ["--spectral-tol", "--cmp-tol"])
 def test_tolerances_only_where_spectra_are_computed(flag, capsys):
-    # the eigensolver is direct, so no subcommand takes --spectral-tol
-    spectral = (["analyze", "A_"], ["spectral", "A_"],
-                ["verify", "main-mu", "--n-min", "4", "--n-max", "4"],
-                ["hunt", "--theorem", "main-mu", "--n", "8", "--seed", "1",
-                 "--count", "1"])
-    plain = (["construct", "net"], ["closure", "A_"], ["enumerate", "--n", "3"])
-    refusing = plain + spectral if flag == "--spectral-tol" else plain
+    # the eigensolver is direct, so no subcommand takes --spectral-tol;
+    # only verify and hunt compare a spectrum with a threshold
+    comparing = (["verify", "main-mu", "--n-min", "4", "--n-max", "4"],
+                 ["hunt", "--theorem", "main-mu", "--n", "8", "--seed", "1",
+                  "--count", "1"])
+    plain = (["construct", "net"], ["closure", "A_"], ["enumerate", "--n", "3"],
+             ["analyze", "A_"], ["spectral", "A_"])
+    refusing = plain + comparing if flag == "--spectral-tol" else plain
     for argv in refusing:
         with pytest.raises(SystemExit) as ei:
             cli.run(argv + [flag, "5"])
@@ -272,7 +273,7 @@ def test_tolerances_only_where_spectra_are_computed(flag, capsys):
         assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
     if flag == "--cmp-tol":
         parser = cli.build_parser()
-        for argv in spectral:
+        for argv in comparing:
             assert parser.parse_args(argv + [flag, "5"]).cmp_tol == 5.0
 
 

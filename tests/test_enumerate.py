@@ -188,6 +188,33 @@ def test_sampler_target_unreachable_payload():
     assert is_connected(exc.graph) and is_claw_free(exc.graph)
 
 
+SAMPLER_GRID = [
+    (n, density, seed)
+    for n in (8, 14, 20, 26, 30)
+    for density in (0.35, 0.5, 0.7, 0.9)
+    for seed in range(5)
+]
+
+
+def _sampler_grid_lines():
+    # one line per grid point: the sample's graph6, or for a stuck run the
+    # stuck graph's graph6 and the edge count it reached
+    for n, density, seed in SAMPLER_GRID:
+        target_m = round(density * (n * (n - 1) // 2))
+        try:
+            yield encode(sample_dense_claw_free(n, target_m, seed))
+        except TargetUnreachable as exc:
+            yield f"{encode(exc.graph)} stuck {exc.achieved_m}"
+
+
+def test_sampler_draws_are_frozen():
+    # regression-only: pins every draw over the grid, stuck runs included
+    lines = list(_sampler_grid_lines())
+    assert sum(" stuck " in line for line in lines) == 38
+    seq = "\n".join(lines)
+    assert hashlib.sha256(seq.encode("ascii")).hexdigest() == frozen.SAMPLER_GRID_SHA256
+
+
 def test_sampler_rejects_bad_arguments():
     with pytest.raises(InvalidParams):
         sample_dense_claw_free(40, 10, 0)

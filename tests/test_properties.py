@@ -1,8 +1,11 @@
-"""Property tests for the augmentation filters and the canonical form.
+"""Property tests for the augmentation filters, the canonical form, the
+claw test and the traceability cascade.
 
 networkx serves as the independent oracle for isomorphism and cut
 vertices; the removal rule is written out here from canonical_labeling and
-canonical_form, not taken from the enumerator.
+canonical_form, not taken from the enumerator.  The claw test is checked
+against the brute-force triple scan, and the cascade against the exact
+Hamilton path solver.
 """
 import networkx as nx
 import pytest
@@ -15,11 +18,15 @@ from clawtrace.enumeration import (
     _claw_free_extension_ok,
     _rule_candidates,
     exhaustive_list,
+    sample_dense_claw_free,
 )
+from clawtrace.errors import TargetUnreachable
 from clawtrace.graph import Graph, from_edges, induced, relabel
+from clawtrace.hamilton import has_hamilton_path
 from clawtrace.structure import is_claw_free
+from clawtrace.verify import decide_traceable
 
-from oracles import graphs
+from oracles import claw_free_brute, graphs
 
 CLAW_FREE = [g for n in range(1, 8) for g in exhaustive_list(n, ("claw-free",))]
 
@@ -75,3 +82,33 @@ def test_canonical_form_agrees_with_networkx(g, rnd):
     u, v = sorted(rnd.sample(range(g.n), 2))
     other = from_edges(g.n, set(same.edges()) ^ {(u, v)})
     assert (canonical_form(other) == canonical_form(g)) == nx.is_isomorphic(_nx(g), _nx(other))
+
+
+@st.composite
+def sampled_claw_free(draw, min_n=1, max_n=12):
+    """Hypothesis strategy: a connected claw-free graph from the dense
+    sampler at a random edge target; a stuck run gives its stuck graph."""
+    n = draw(st.integers(min_n, max_n))
+    target_m = draw(st.integers(0, n * (n - 1) // 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    try:
+        return sample_dense_claw_free(n, target_m, seed)
+    except TargetUnreachable as exc:
+        return exc.graph
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(graphs(max_n=12), sampled_claw_free()))
+def test_cascade_matches_exact_solver(g):
+    # graphs() is mostly not claw-free, the sampler always is
+    assert decide_traceable(g) == has_hamilton_path(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampled_claw_free(min_n=4), st.data())
+def test_claw_test_near_claw_free_dense_graphs(g, data):
+    # one or two toggled pairs turn a claw-free graph into a near miss
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    toggled = data.draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=2))
+    h = from_edges(g.n, set(g.edges()) ^ toggled)
+    assert is_claw_free(h) == claw_free_brute(h)
