@@ -1,14 +1,20 @@
 """Exact Hamilton path and cycle decision with witness extraction.
 
-The core is a subset dynamic program over the paths that start at vertex 0:
-for each set S of the other vertices it stores, as one int32 bitmask, the
-endpoints of the paths that start at 0 and cover exactly {0} and S.  Sets
-are processed layer by layer in order of size, so every transition flows
-from one layer to the next, and each layer costs one vectorized pass per
-target vertex w: every live set that misses w and has an endpoint adjacent
-to w gains w as an endpoint of the set with w added.  The sets of each size
-are built once per order and cached, so a sweep over many graphs of one
-order never rebuilds them.
+The core is a subset dynamic program over the paths that start at vertex 0,
+run over true-twin classes instead of vertices.  Vertices 1..n-1 with equal
+closed neighbourhoods are interchangeable in any path, so they form one
+class, and a state records how many members of each class the path has
+used, not which ones.  Vertex 0 is always a class of its own.  For each
+count vector the DP stores, as one int32 bitmask over the classes, the
+classes in which a path from 0 with those counts can end.  States are
+processed layer by layer in order of the number of vertices used, so every
+transition flows from one layer to the next, and each layer costs one
+vectorized pass per target class w: every live state with fewer than
+|w| members of w used and an endpoint class adjacent to w gains w as an
+endpoint of the state with one more member of w.  The states of each layer
+are built once per tuple of class sizes and cached, so a sweep over many
+graphs of one shape never rebuilds them.  On a twin-free graph every class
+is one vertex and the DP is the plain subset DP.
 
 A Hamilton cycle passes through vertex 0, so the cycle test runs the DP on
 g itself.  g has a Hamilton path exactly when g plus an apex joined to every
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,55 +42,112 @@ def _check_order(g: Graph) -> None:
         )
 
 
+class _Layout(NamedTuple):
+    """How _run_dp indexes g.  Class 0 is {0}; classes 1.. group vertices
+    1..n-1 by closed neighbourhood, numbered in order of their smallest
+    member.  Class c >= 1 owns the index field of sizes[c - 1].bit_length()
+    bits at offsets[c - 1], which counts its members used so far."""
+
+    members: tuple[int, ...]  # vertex mask of each class
+    nbrs: tuple[int, ...]  # mask of the classes adjacent to each class
+    sizes: tuple[int, ...]
+    offsets: tuple[int, ...]
+    width: int  # bits in an index
+    full: int  # the index with every field at its class size
+
+
+def _layout(g: Graph) -> _Layout:
+    groups: dict[int, int] = {}
+    for v in range(1, g.n):
+        key = g.adj[v] | 1 << v
+        groups[key] = groups.get(key, 0) | 1 << v
+    members = (1,) + tuple(groups.values())
+    # two classes are adjacent entirely or not at all, and a class sees
+    # itself exactly when it has two or more members, because true twins are
+    # adjacent; so one member's row gives the neighbours of its class
+    rows = [g.adj[m.bit_length() - 1] for m in members]
+    nbrs = tuple(
+        sum(1 << d for d, other in enumerate(members) if row & other) for row in rows
+    )
+    sizes = tuple(m.bit_count() for m in members[1:])
+    offsets, full, off = [], 0, 0
+    for s in sizes:
+        offsets.append(off)
+        full |= s << off
+        off += s.bit_length()
+    return _Layout(members, nbrs, sizes, tuple(offsets), off, full)
+
+
 @lru_cache(maxsize=1)
-def _layers(m: int) -> tuple[np.ndarray, ...]:
-    """Entry k holds every k-subset of m bits as an ascending uint32 array.
-    The k-subsets of b + 1 bits are those of b bits followed by the
-    (k - 1)-subsets of b bits with bit b added."""
-    empty = np.zeros(0, dtype=np.uint32)
+def _layers(sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Entry k holds, as an ascending uint32 array, every index whose
+    fields add up to k, field i counting 0..sizes[i] in
+    sizes[i].bit_length() bits.  A field of size s at offset off turns the
+    layers L into those whose entry k joins L[k - c] | c << off for
+    c = 0..s; each part lies above the last, so the entry stays ascending.
+    With every size 1 entry k is the k-subsets of len(sizes) bits."""
     layers = [np.zeros(1, dtype=np.uint32)]
-    for b in range(m):
-        bit = np.uint32(1 << b)
+    off = 0
+    for s in sizes:
         layers = [
-            np.concatenate((low, high | bit))
-            for low, high in zip(layers + [empty], [empty] + layers)
+            np.concatenate([
+                layers[k - c] | np.uint32(c << off)
+                for c in range(s + 1)
+                if 0 <= k - c < len(layers)
+            ])
+            for k in range(len(layers) + s)
         ]
+        off += s.bit_length()
     for layer in layers:
-        layer.setflags(write=False)  # shared by every call at this order
+        layer.setflags(write=False)  # shared by every call of this shape
     return tuple(layers)
 
 
 def _run_dp(g: Graph) -> np.ndarray:
-    """dp[visited] = bitmask of the endpoints of the paths that start at
-    vertex 0 and cover exactly {0} plus the visited set.  Vertex v is bit
-    v - 1 of the index, so the table has 2^(n-1) entries, entry 0 being
-    the path {0}; endpoint masks use the vertex numbers."""
-    n = g.n
-    dp = np.zeros(1 << (n - 1), dtype=np.int32)
+    """dp[index] = bitmask of the classes in which a path can end that
+    starts at vertex 0 and uses exactly the member counts of the index
+    (see _Layout), entry 0 being the path {0}.  Indices with a field above
+    its class size stay 0.  On a twin-free graph class v is vertex v, so
+    vertex v is bit v - 1 of the index and the table has 2^(n-1) entries;
+    it is never larger, because s.bit_length() <= s.
+
+    This is exact.  A path from 0 maps to the sequence of its vertices'
+    classes: consecutive classes are adjacent, a class follows itself only
+    when it has two or more members, and no class occurs more often than it
+    has members.  Conversely any such sequence from class 0 lifts to a path
+    from 0 by handing out each class's members in any order: two vertices
+    of adjacent classes are adjacent, and two members of one class of size
+    two or more are adjacent twins.  So dp[index] holds exactly the classes
+    of the endpoints of the paths from 0 with those counts, and a Hamilton
+    path is a live class at the index with every field full."""
+    lay = _layout(g)
+    dp = np.zeros(1 << lay.width, dtype=np.int32)
     dp[0] = 1
-    layers = _layers(n - 1)
-    for k in range(n - 1):
-        sets = layers[k]
-        ends = dp[sets]
+    fields = [
+        (1 << w, lay.nbrs[w], ((1 << s.bit_length()) - 1) << off, s << off, 1 << off)
+        for w, (s, off) in enumerate(zip(lay.sizes, lay.offsets), start=1)
+    ]
+    for states in _layers(lay.sizes)[:-1]:
+        ends = dp[states]
         live = ends != 0
         if not live.any():
             break
-        sets = sets[live]
+        states = states[live]
         ends = ends[live]
-        for w in range(1, n):
-            bit = 1 << (w - 1)
-            hit = ((ends & g.adj[w]) != 0) & ((sets & bit) == 0)
-            # distinct sets stay distinct once w is added, so the fancy
-            # OR below never drops a write
-            tgt = sets[hit] | bit
-            dp[tgt] |= 1 << w
+        for w_bit, w_nbrs, field, limit, step in fields:
+            hit = ((ends & w_nbrs) != 0) & ((states & field) < limit)
+            # distinct states stay distinct once one step is added, so the
+            # fancy OR below never drops a write
+            dp[states[hit] + step] |= w_bit
     return dp
 
 
 def _with_apex(g: Graph) -> Graph:
-    """g shifted up one label, plus vertex 0 joined to every vertex.  Its
-    _run_dp table, shifted right one bit, is indexed by the sets of g and
-    holds the endpoints of the paths of g covering each set."""
+    """g shifted up one label, plus vertex 0 joined to every vertex.  The
+    apex lies in every closed neighbourhood, so the other vertices form the
+    twin classes of g, and the _run_dp table of this graph holds, for each
+    count vector of those classes, the classes in which the paths of g with
+    those counts end (entry 0 being the path {apex})."""
     rows = tuple(r << 1 | 1 for r in g.adj)
     return Graph(g.n + 1, (g.vertex_mask << 1,) + rows, g.m + g.n)
 
@@ -94,7 +158,8 @@ def has_hamilton_path(g: Graph) -> bool:
     _check_order(g)
     if not is_connected(g):
         return False
-    return bool(_run_dp(_with_apex(g))[-1] != 0)
+    h = _with_apex(g)
+    return bool(_run_dp(h)[_layout(h).full] != 0)
 
 
 def has_hamilton_cycle(g: Graph) -> bool:
@@ -103,7 +168,8 @@ def has_hamilton_cycle(g: Graph) -> bool:
     _check_order(g)
     if g.n < 3 or not is_connected(g) or g.min_degree() < 2:
         return False
-    return bool(_run_dp(g)[-1] & g.adj[0])
+    lay = _layout(g)
+    return bool(_run_dp(g)[lay.full] & lay.nbrs[0])
 
 
 @dataclass(frozen=True)
@@ -115,24 +181,27 @@ class HamiltonWitness:
 def find_hamilton_path(g: Graph) -> HamiltonWitness | None:
     """A concrete spanning path, or None.
 
-    The sequence is rebuilt backwards from the DP table itself: from a full
-    set with live endpoint e, the predecessor state is (set minus e) with
-    some live endpoint adjacent to e, which exists by construction.
+    The class sequence is rebuilt backwards from the DP table itself: from
+    a state with live endpoint class c, the predecessor state has one
+    member of c fewer and some live endpoint class adjacent to c, which
+    exists by construction.  Each class then hands out its members in
+    ascending order.
     """
     _check_order(g)
     if not is_connected(g):
         return None
-    dp = _run_dp(_with_apex(g))
-    full = g.vertex_mask
-    ends = int(dp[full]) >> 1
+    h = _with_apex(g)
+    lay = _layout(h)
+    dp = _run_dp(h)
+    state = lay.full
+    ends = int(dp[state])
     if ends == 0:
         return None
-    e = next(bits(ends))
-    seq = [e]
-    mask = full
-    while mask != 1 << seq[-1]:
-        mask ^= 1 << seq[-1]
-        prev = int(dp[mask]) >> 1 & g.adj[seq[-1]] & mask
-        seq.append(next(bits(prev)))
-    seq.reverse()
-    return HamiltonWitness("Path", tuple(seq))
+    walk = []
+    while state:  # state 0 is the path {apex}
+        c = next(bits(ends))
+        walk.append(c)
+        state -= 1 << lay.offsets[c - 1]
+        ends = int(dp[state]) & lay.nbrs[c]
+    pools = [bits(m >> 1) for m in lay.members]  # back to the labels of g
+    return HamiltonWitness("Path", tuple(next(pools[c]) for c in reversed(walk)))

@@ -197,3 +197,26 @@ def graphs(draw, min_n=1, max_n=8):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return from_edges(n, [e for e, keep in zip(pairs, chosen) if keep])
+
+
+@st.composite
+def graphs_with_twins(draw, max_n=9):
+    """Hypothesis strategy: a graphs() draw with one to three vertices
+    blown up into cliques of size 2..4, whose members are true twins, then
+    relabelled at random; the order stays at most max_n."""
+    from clawtrace.graph import from_edges
+
+    g = draw(graphs(max_n=max_n - 1))
+    adj = [{u for u in range(g.n) if g.has_edge(u, v)} for v in range(g.n)]
+    picks = draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=3, unique=True))
+    for v in picks:
+        size = draw(st.integers(2, 4))
+        for _ in range(min(size - 1, max_n - len(adj))):
+            # the copy sees v, v's neighbours and the copies made so far
+            new = len(adj)
+            adj.append(adj[v] | {v})
+            for u in adj[new]:
+                adj[u].add(new)
+    perm = draw(st.permutations(range(len(adj))))
+    edges = [(perm[u], perm[v]) for u in range(len(adj)) for v in adj[u] if u < v]
+    return from_edges(len(adj), edges)

@@ -25,7 +25,7 @@ from clawtrace.families import (
     star,
 )
 from clawtrace.graph import is_connected, is_two_connected, join
-from clawtrace.hamilton import has_hamilton_cycle, has_hamilton_path
+from clawtrace.hamilton import MAX_EXACT, has_hamilton_cycle, has_hamilton_path
 from clawtrace.structure import is_claw_free
 
 import frozen
@@ -114,8 +114,9 @@ def test_two_triangle_join_arithmetic():
 
 
 def test_blown_family_shape():
-    # every order the `hamiltonian-family` sweep verifies
-    for n in range(9, 23):
+    # every order the `hamiltonian-family` sweep verifies (9..22), and on up
+    # to the exact solver's cap
+    for n in range(9, MAX_EXACT + 1):
         for spec in BROUSEK_BASES:
             g = brousek_blown(*spec.params, n)
             assert g.n == n

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from clawtrace.errors import OrderTooLargeForExact
 from clawtrace.families import complete, complete_split, nn33, star
-from clawtrace.graph import disjoint_union, from_edges
+from clawtrace.graph import bits, disjoint_union, from_edges
 from clawtrace.hamilton import (
     MAX_EXACT,
     HamiltonWitness,
@@ -19,6 +19,7 @@ from clawtrace.hamilton import (
 
 from oracles import (
     graphs,
+    graphs_with_twins,
     hamilton_cycle_brute,
     hamilton_path_brute,
     random_graph,
@@ -116,17 +117,32 @@ def test_larger_structured_instances():
     assert has_hamilton_path(path_graph(22))
     w = find_hamilton_path(cycle_graph(18))
     assert w is not None and witness_is_valid(cycle_graph(18), w)
+    # big twin classes: the table counts members instead of listing them
+    assert not has_hamilton_path(nn33(MAX_EXACT))
+    split = complete_split(12, 20)
+    w = find_hamilton_path(split)
+    assert w is not None and witness_is_valid(split, w)
 
 
-@settings(max_examples=300, deadline=None)
-@given(graphs())
-def test_dp_agrees_with_permutation_oracles(g):
+def assert_agrees_with_permutation_oracles(g):
     assert has_hamilton_cycle(g) == hamilton_cycle_brute(g)
     path = hamilton_path_brute(g)
     assert has_hamilton_path(g) == path
     w = find_hamilton_path(g)
     assert (w is not None) == path
     assert w is None or witness_is_valid(g, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_dp_agrees_with_permutation_oracles(g):
+    assert_agrees_with_permutation_oracles(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_twins())
+def test_twin_class_dp_agrees_with_permutation_oracles(g):
+    assert_agrees_with_permutation_oracles(g)
 
 
 def subset_dp(g, starts):
@@ -145,18 +161,57 @@ def subset_dp(g, starts):
     return dp
 
 
-def assert_tables_match(g):
-    # index t stands for the set {0} plus vertex v at bit v - 1
+def twin_layout(g):
+    """The class of each vertex and the index field of each class >= 1:
+    vertex 0 alone in class 0, vertices 1..n-1 grouped by closed
+    neighbourhood in order of their smallest member, a class of size s
+    counted in s.bit_length() bits."""
+    keys = []
+    cls = [0] * g.n
+    for v in range(1, g.n):
+        key = g.adj[v] | 1 << v
+        if key not in keys:
+            keys.append(key)
+        cls[v] = keys.index(key) + 1
+    widths = [cls.count(c).bit_length() for c in range(1, len(keys) + 1)]
+    return cls, list(itertools.accumulate(widths, initial=0))
+
+
+def projected_table(g):
+    """subset_dp from vertex 0 projected onto class counts: each set's
+    endpoints, mapped to their classes, are ORed into the entry of the
+    set's member counts."""
+    cls, offsets = twin_layout(g)
     anchored = subset_dp(g, [0])
-    assert _run_dp(g).tolist() == [
-        anchored[t << 1 | 1] for t in range(1 << (g.n - 1))
-    ]
-    # through the apex, index t is a set of g and endpoints move up one bit;
-    # entry 0 is the path {apex}
-    paths = subset_dp(g, range(g.n))
-    assert _run_dp(_with_apex(g)).tolist() == [
-        paths[t] << 1 | (t == 0) for t in range(1 << g.n)
-    ]
+    table = [0] * (1 << offsets[-1])
+    for s in range(1, 1 << g.n, 2):  # the sets that hold vertex 0
+        index = sum(1 << offsets[cls[v] - 1] for v in bits(s & ~1))
+        for v in bits(anchored[s]):
+            table[index] |= 1 << cls[v]
+    return table
+
+
+def is_twin_free(g):
+    return len(set(twin_layout(g)[0])) == g.n
+
+
+def assert_tables_match(g):
+    for h in (g, _with_apex(g)):
+        assert _run_dp(h).tolist() == projected_table(h)
+    # on twin-free graphs the table is the plain subset DP's
+    if is_twin_free(g):
+        # index t stands for the set {0} plus vertex v at bit v - 1
+        anchored = subset_dp(g, [0])
+        assert _run_dp(g).tolist() == [
+            anchored[t << 1 | 1] for t in range(1 << (g.n - 1))
+        ]
+    if is_twin_free(_with_apex(g)):
+        # through the apex, index t is a set of g and endpoints move up one
+        # bit; entry 0 is the path {apex}
+        paths = subset_dp(g, range(g.n))
+        assert _run_dp(_with_apex(g)).tolist() == [
+            paths[t] << 1 | (t == 0) for t in range(1 << g.n)
+        ]
 
 
 def test_dp_tables_match_subset_loop_on_every_small_graph():
