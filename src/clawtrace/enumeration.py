@@ -18,8 +18,9 @@ graph, which concentrates samples near the dense regimes the spectral
 verifiers probe.  The sampler works in place: it keeps one lexicographic
 edge list and drops an edge from it only once its deletion is accepted.
 A deletion is tested locally: a new claw must use the removed pair as two
-of its leaves, and the graph stays connected iff one endpoint still
-reaches the other.
+of its leaves, so only the common non-neighbours of the pair are scanned
+for its third leaf, few on a dense graph; and the graph stays connected
+iff one endpoint still reaches the other.
 """
 from __future__ import annotations
 
@@ -329,13 +330,18 @@ def sample_dense_claw_free(n: int, target_m: int, seed: int) -> Graph:
     if target_m > n * (n - 1) // 2 or target_m < 0:
         raise InvalidParams(f"target_m {target_m} outside 0..C({n},2)")
     rng = np.random.default_rng(seed)
-    rows = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
+    full = (1 << n) - 1
+    rows = [full & ~(1 << v) for v in range(n)]
 
     def creates_claw(u: int, v: int) -> bool:
-        # any new claw uses the fresh non-edge (u, v) as a leaf pair
-        for c in bits(rows[u] & rows[v]):
-            third = rows[c] & ~rows[u] & ~rows[v] & ~(1 << u | 1 << v)
-            if third:
+        # any new claw uses the fresh non-edge (u, v) as a leaf pair, so it
+        # is a common neighbor c of u and v plus a third leaf w outside
+        # N[u] | N[v] adjacent to c; on a dense graph few such w exist
+        common = rows[u] & rows[v]
+        if not common:
+            return False
+        for w in bits(full & ~(rows[u] | rows[v]) & ~(1 << u | 1 << v)):
+            if rows[w] & common:
                 return True
         return False
 
@@ -359,7 +365,7 @@ def sample_dense_claw_free(n: int, target_m: int, seed: int) -> Graph:
     m = len(edges)
     while m > target_m:
         removed = False
-        for idx in rng.permutation(m).tolist():
+        for idx in rng.permutation(m):
             u, v = edges[idx]
             rows[u] &= ~(1 << v)
             rows[v] &= ~(1 << u)
@@ -382,6 +388,8 @@ def sample_dense_claw_free(n: int, target_m: int, seed: int) -> Graph:
 
 
 def _sample_ok(g: Graph, chain: tuple[str, ...]) -> bool:
+    # the sampler only returns connected claw-free graphs; testing both
+    # again re-checks that invariant on every sample, on purpose
     if "connected" in chain and not is_connected(g):
         return False
     if "claw-free" in chain and not is_claw_free(g):

@@ -84,15 +84,25 @@ def find_induced(g: Graph, pattern: Graph) -> Optional[VertexSet]:
 
 
 def is_claw_free(g: Graph) -> bool:
-    """True iff no vertex has three pairwise nonadjacent neighbors."""
+    """True iff no vertex has three pairwise nonadjacent neighbors.
+
+    Walks the non-edges, not the edges, so a dense graph costs little: each
+    nonadjacent pair a < b with a common neighbor is tested against the
+    vertices outside N[a] and N[b].
+    """
     adj = g.adj
-    for nv in adj:
-        for a in bits(nv):
-            # the legs that can join a: neighbors of v outside N[a], few
-            # on dense graphs; b > a there, and a third leg avoids N[b]
-            rest = nv & ~adj[a] & ~(1 << a)
-            for b in bits(rest >> (a + 1) << (a + 1)):
-                if rest & ~adj[b] & ~(1 << b):
+    full = g.vertex_mask
+    for a in range(g.n):
+        na = adj[a]
+        for b in bits(full & ~na >> (a + 1) << (a + 1)):
+            # a claw with leaves a, b, w and center c exists iff a, b are
+            # nonadjacent, c is in N(a) & N(b), w lies outside N[a] | N[b]
+            # and w is adjacent to c; every claw has such a leaf pair a < b
+            common = na & adj[b]
+            if not common:
+                continue
+            for w in bits(full & ~(na | adj[b]) & ~(1 << a | 1 << b)):
+                if adj[w] & common:
                     return False
     return True
 

@@ -105,16 +105,23 @@ def _has_heavy_cut_vertex(g: Graph) -> bool:
 
 def _path_closure(g: Graph) -> Graph:
     """Add edges between nonadjacent pairs with degree sum >= n-1 until a
-    fixpoint; preserves the existence of a Hamilton path exactly."""
+    fixpoint; preserves the existence of a Hamilton path exactly.
+
+    Each pass walks the non-edges only, which are few on a dense graph.
+    """
     rows = list(g.adj)
     n = g.n
+    full = g.vertex_mask
+    # the (n-1)-closure is unique whatever order its edges are added in
+    # (Bondy-Chvatal), so walking only the non-edges u < v of each pass,
+    # with the degrees kept current, still returns the same graph
+    degs = [popcount(r) for r in rows]
     changed = True
     while changed:
         changed = False
-        degs = [popcount(r) for r in rows]
         for u in range(n):
-            for v in range(u + 1, n):
-                if not rows[u] >> v & 1 and degs[u] + degs[v] >= n - 1:
+            for v in bits(full & ~rows[u] >> (u + 1) << (u + 1)):
+                if degs[u] + degs[v] >= n - 1:
                     rows[u] |= 1 << v
                     rows[v] |= 1 << u
                     degs[u] += 1

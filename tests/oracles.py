@@ -2,9 +2,11 @@
 
 Nothing here shares algorithmic code with the package.  Spectral radii come
 from numpy's general eigensolver (the package uses the symmetric one),
-Hamilton paths from permutation scans, induced-subgraph hits from subset
-enumeration, isomorphism from permutation search, and isomorphism-class
-counts from permutation-orbit marking over all labeled graphs.
+Hamilton paths and cycles from depth-first search over simple paths,
+induced-subgraph hits from subset enumeration, isomorphism from
+permutation search, the path closure from an all-pairs fixpoint loop, and
+isomorphism-class counts from permutation-orbit marking over all labeled
+graphs.
 """
 import itertools
 
@@ -27,24 +29,48 @@ def mu_dense(g: Graph) -> float:
     return float(np.linalg.eigvals(adjacency(g)).real.max())
 
 
-def hamilton_path_brute(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    for perm in itertools.permutations(range(g.n)):
-        if all(g.has_edge(perm[i], perm[i + 1]) for i in range(g.n - 1)):
-            return True
+def _extends_to_hamilton(g: Graph, path: list[int], closed: bool) -> bool:
+    """Depth-first search over the simple paths that extend path."""
+    if len(path) == g.n:
+        return not closed or g.has_edge(path[-1], path[0])
+    for v in range(g.n):
+        if v not in path and g.has_edge(path[-1], v):
+            path.append(v)
+            if _extends_to_hamilton(g, path, closed):
+                return True
+            path.pop()
     return False
+
+
+def hamilton_path_brute(g: Graph) -> bool:
+    return any(_extends_to_hamilton(g, [s], False) for s in range(g.n))
 
 
 def hamilton_cycle_brute(g: Graph) -> bool:
     if g.n < 3:
         return False
-    # fix vertex 0 first to kill rotational duplicates
-    for perm in itertools.permutations(range(1, g.n)):
-        seq = (0,) + perm
-        if all(g.has_edge(seq[i], seq[(i + 1) % g.n]) for i in range(g.n)):
-            return True
-    return False
+    # every Hamilton cycle passes through vertex 0, so start there
+    return _extends_to_hamilton(g, [0], True)
+
+
+def path_closure_brute(g: Graph) -> Graph:
+    """Join nonadjacent pairs with degree sum >= n-1, all pairs per pass,
+    until a pass adds nothing."""
+    from clawtrace.graph import from_edges
+
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    edges = {(u, v) for u, v in pairs if g.has_edge(u, v)}
+    deg = [sum(g.has_edge(u, v) for v in range(g.n)) for u in range(g.n)]
+    changed = True
+    while changed:
+        changed = False
+        for u, v in pairs:
+            if (u, v) not in edges and deg[u] + deg[v] >= g.n - 1:
+                edges.add((u, v))
+                deg[u] += 1
+                deg[v] += 1
+                changed = True
+    return from_edges(g.n, edges)
 
 
 def witness_is_valid(g: Graph, w) -> bool:

@@ -139,7 +139,7 @@ def test_dp_agrees_with_permutation_oracles(g):
     assert_agrees_with_permutation_oracles(g)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(graphs_with_twins())
 def test_twin_class_dp_agrees_with_permutation_oracles(g):
     assert_agrees_with_permutation_oracles(g)

@@ -1,11 +1,11 @@
 """Property tests for the augmentation filters, the canonical form, the
-claw test and the traceability cascade.
+claw test, the path closure and the traceability cascade.
 
 networkx serves as the independent oracle for isomorphism and cut
 vertices; the removal rule is written out here from canonical_labeling and
 canonical_form, not taken from the enumerator.  The claw test is checked
-against the brute-force triple scan, and the cascade against the exact
-Hamilton path solver.
+against the brute-force triple scan, the path closure against an all-pairs
+fixpoint loop, and the cascade against the exact Hamilton path solver.
 """
 import networkx as nx
 import pytest
@@ -24,9 +24,9 @@ from clawtrace.errors import TargetUnreachable
 from clawtrace.graph import Graph, from_edges, induced, relabel
 from clawtrace.hamilton import has_hamilton_path
 from clawtrace.structure import is_claw_free
-from clawtrace.verify import decide_traceable
+from clawtrace.verify import _path_closure, decide_traceable
 
-from oracles import claw_free_brute, graphs
+from oracles import claw_free_brute, graphs, path_closure_brute
 
 CLAW_FREE = [g for n in range(1, 8) for g in exhaustive_list(n, ("claw-free",))]
 
@@ -112,3 +112,17 @@ def test_claw_test_near_claw_free_dense_graphs(g, data):
     toggled = data.draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=2))
     h = from_edges(g.n, set(g.edges()) ^ toggled)
     assert is_claw_free(h) == claw_free_brute(h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=12))
+def test_claw_test_matches_brute_force_at_every_density(g):
+    # graphs() draws each pair independently, so sparse and dense graphs
+    # both occur; the claw test walks non-edges, which dense graphs lack
+    assert is_claw_free(g) == claw_free_brute(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(graphs(max_n=12), sampled_claw_free()))
+def test_path_closure_matches_all_pairs_fixpoint(g):
+    assert _path_closure(g).adj == path_closure_brute(g).adj
