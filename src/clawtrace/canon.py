@@ -5,10 +5,13 @@ degree/triangle invariant, then the first non-singleton cell is split on each
 candidate vertex in turn.  Leaves of the search tree are complete labellings;
 the canonical form is the lexicographically smallest upper-triangle encoding
 over all leaves.  Branch-and-bound on the already-determined encoding prefix
-plus two exact prunings keep the tree small:
+plus three exact prunings keep the tree small:
 
 * only candidates whose adjacency row against the fixed prefix is minimal can
-  start a minimal completion (the row becomes the next encoding column), and
+  start a minimal completion (the row becomes the next encoding column),
+* of each twin class in the branching cell only the first member is
+  branched on (swapping two twins is an automorphism; see
+  canonical_labeling), and
 * children refining to the identical ordered partition are explored once.
 
 Exponential in the worst case, which the n <= 16 cap makes acceptable.
@@ -77,10 +80,29 @@ def _column(g: Graph, v: int, prefix_vertices: list[int]) -> int:
     return col
 
 
+def earlier_twins(g: Graph) -> list[int]:
+    """For each vertex v, the mask of its twins u < v, the u with
+    N(u) - v = N(v) - u: equal open neighbourhoods when u and v are
+    nonadjacent, equal closed ones when they are adjacent.  Twinship is an
+    equivalence, since no vertex has both kinds of twin: if N(u) = N(v) and
+    N[u] = N[w], then w ~ u, so w ~ v, so v lies in N[w] = N[u] and v ~ u,
+    a contradiction."""
+    adj = g.adj
+    return [
+        sum(1 << u for u in range(v) if adj[u] & ~(1 << v) == row & ~(1 << u))
+        for v, row in enumerate(adj)
+    ]
+
+
 def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Return (encoding, labels): encoding[j-1] is column j of the canonical
-    adjacency (bit to label 0 most significant); labels[v] is v's canonical
-    label."""
+    """Return (encoding, labels): labels[v] is v's canonical label, and the
+    encoding is the key of the leaf the search minimises.  When the refined
+    initial partition starts with a singleton cell, encoding[j-1] is column
+    j of the canonical adjacency (bit to label 0 most significant).
+    Otherwise the first entry is a 0 standing for the first branching step
+    and one column is left out, so the entries are not the columns: K3
+    gives (0, 1) against columns (1, 3), C5 gives (0, 0, 5, 12) against
+    (0, 1, 5, 12)."""
     if g.n > MAX_CANONICAL:
         raise OrderTooLargeForCanonical(
             f"canonical labelling capped at n <= {MAX_CANONICAL}, got {g.n}"
@@ -89,6 +111,7 @@ def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if n == 1:
         return (), (0,)
 
+    twins = earlier_twins(g)
     best_enc: list[int] | None = None
     best_cells: tuple[tuple[int, ...], ...] | None = None
 
@@ -118,9 +141,19 @@ def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if k > 0 and best_enc is not None and prefix == best_enc[: len(prefix)]:
             if low > best_enc[k - 1]:
                 return
+        # Twins u < v of one cell: the transposition (u v) fixes every other
+        # vertex, so it is an automorphism that maps this partition to itself
+        # and the subtree of v onto the subtree of u, leaf for leaf with equal
+        # encodings.  Cells are kept in ascending order and twinship is an
+        # equivalence, so the first member u of v's class in the cell is
+        # branched on before v, and u's subtree already holds the first
+        # minimal leaf of the two; skipping v changes neither the encoding
+        # nor the labels.  (Twins have equal rows against the prefix, so u
+        # is a candidate when v is.)
+        cell_mask = sum(1 << v for v in cell)
         seen: set[tuple[tuple[int, ...], ...]] = set()
         for c, v in cols:
-            if c != low:
+            if c != low or twins[v] & cell_mask:
                 continue
             rest = tuple(u for u in cell if u != v)
             child = cells[:k] + ((v,), rest) + cells[k + 1:]

@@ -6,11 +6,13 @@ attaching one new vertex to each parent of order k, and a child is kept only
 when deleting its canonically chosen removable vertex gives back exactly that
 parent.  Each isomorphism class therefore appears once, produced from one
 parent class, and hereditary predicates (claw-free, net-free, and the
-extended-net filter) prune the tree at every level.  A (degree, triangle)
-key rejects most children before any canonical search, and each remaining
-child is labelled once.  Non-hereditary predicates (closed, two-connected)
-only gate emission.  One sweep builds every level once and yields the
-classes of each requested order in turn.
+extended-net filter) prune the tree at every level.  An attachment mask that
+repeats an earlier one up to twins of the parent is skipped, a (degree,
+triangle) key, read off tables of the parent, rejects most children before
+any canonical search, and each remaining child is labelled once.
+Non-hereditary predicates (closed, two-connected) only gate emission.  One
+sweep builds every level once and yields the classes of each requested
+order in turn.
 
 Sample mode starts from the complete graph and deletes uniformly chosen
 edges, rejecting deletions that create an induced claw or disconnect the
@@ -31,7 +33,7 @@ from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
-from .canon import canonical_form, canonical_labeling, vertex_keys
+from .canon import canonical_form, canonical_labeling, earlier_twins, vertex_keys
 from .errors import InfeasibleSpec, InvalidParams, TargetUnreachable
 from .families import graph_m, net
 from .graph import (
@@ -41,7 +43,6 @@ from .graph import (
     induced,
     is_connected,
     is_two_connected,
-    mask_connected,
     popcount,
     relabel,
 )
@@ -131,26 +132,81 @@ def _claw_free_extension_ok(p: Graph, attach_mask: int) -> bool:
     return True
 
 
-def _rule_candidates(child: Graph, connected: bool) -> list[int]:
-    """The allowed vertices (non-cut ones when generating connected graphs)
-    with the new vertex's key; the removal-rule vertex r, the allowed vertex
-    of highest canonical label, is one of them whenever the child can be
-    kept, and [] means reject.
+def _twin_skip(parent: Graph) -> Callable[[int], bool]:
+    """skip(mask) is true when the mask leaves out an earlier twin of a
+    vertex it takes, that is, when it does not take the lowest-numbered
+    members of some twin class of the parent.
+
+    Swapping two twins u < v of the parent is an automorphism of it, so the
+    children of mask and of mask with v traded for u are isomorphic by a map
+    that fixes the new vertex.  Every filter, the removal rule and the
+    `seen` dedup are isomorphism-invariant, so the two children are kept or
+    dropped alike, and at most the first can be kept.  Repeating the trade
+    reaches the mask that takes the lowest members of each class, which is
+    the smallest mask of its orbit and so the one reached first."""
+    links = [(1 << v, twins) for v, twins in enumerate(earlier_twins(parent)) if twins]
+
+    def skip(mask: int) -> bool:
+        return any(mask & bit and twins & ~mask for bit, twins in links)
+
+    return skip
+
+
+def _rule_filter(parent: Graph, connected: bool) -> Callable[[int], list[int]]:
+    """candidates(mask) lists, for the child of the parent plus a vertex
+    joined to mask, the allowed vertices (non-cut ones when generating
+    connected graphs) with the new vertex's key; the removal-rule vertex r,
+    the allowed vertex of highest canonical label, is one of them whenever
+    the child can be kept, and [] means reject.
 
     Canonical labels increase with the (degree, triangle) key, so r has the
     largest key among the allowed vertices; child - r ~ parent = child - new
     forces key(r) = key(new).  This is the cheap-invariant step of McKay,
     "Isomorph-free exhaustive generation", J. Algorithms 26 (1998).
+
+    The child's keys and cut vertices come from tables of the parent, built
+    once.  An old vertex v gains one degree and |N(v) & mask| triangles when
+    v is in mask, and nothing otherwise; the new vertex has degree |mask|
+    and one triangle per parent edge inside mask.  child - v is the parent
+    minus v plus the new vertex, joined to mask, so it is connected exactly
+    when mask meets every component of parent - v; child - new is the
+    parent, which is connected whenever connectivity is required, because a
+    connected sweep starts from K1 and joins each new vertex to a nonempty
+    mask.
     """
-    keys = vertex_keys(child)
-    key = keys[-1]
+    n = parent.n
+    adj = parent.adj
+    keys = vertex_keys(parent)
+    pieces: list[list[int]] = []
+    for v in range(n):
+        rest = parent.vertex_mask & ~(1 << v)
+        comps = []
+        while rest:
+            seen = frontier = rest & -rest
+            while frontier:
+                reach = 0
+                for w in bits(frontier):
+                    reach |= adj[w]
+                frontier = reach & rest & ~seen
+                seen |= frontier
+            comps.append(seen)
+            rest &= ~seen
+        pieces.append(comps)
 
-    def allowed(v: int) -> bool:
-        return not connected or mask_connected(child, child.vertex_mask & ~(1 << v))
+    def candidates(mask: int) -> list[int]:
+        inner = {v: (adj[v] & mask).bit_count() for v in bits(mask)}
+        key = (len(inner), sum(inner.values()) // 2)
+        out = []
+        for v, (degree, triangles) in enumerate(keys):
+            k = (degree + 1, triangles + inner[v]) if v in inner else (degree, triangles)
+            if k < key or connected and not all(comp & mask for comp in pieces[v]):
+                continue
+            if k > key:
+                return []
+            out.append(v)
+        return out + [n]
 
-    if any(k > key and allowed(v) for v, k in enumerate(keys)):
-        return []
-    return [v for v, k in enumerate(keys) if k == key and allowed(v)]
+    return candidates
 
 
 def _expand_parent(parent: Graph, chain: tuple[str, ...]) -> list[Graph]:
@@ -158,16 +214,21 @@ def _expand_parent(parent: Graph, chain: tuple[str, ...]) -> list[Graph]:
 
     A child is kept when deleting its removal-rule vertex gives back a graph
     isomorphic to the parent, and it is not isomorphic to a sibling already
-    kept.  Each surviving child is labelled once; the labelling gives both
-    the rule vertex and the child's canonical form.
+    kept.  Masks that repeat an earlier one up to twins of the parent are
+    skipped, and each surviving child is labelled once; the labelling gives
+    both the rule vertex and the child's canonical form.
     """
     connected = "connected" in chain
     claw = "claw-free" in chain
     lo = 1 if connected else 0
     parent_form = canonical_form(parent)
+    skip = _twin_skip(parent)
+    rule_candidates = _rule_filter(parent, connected)
     seen: set[str] = set()
     out: list[Graph] = []
     for mask in range(lo, 1 << parent.n):
+        if skip(mask):
+            continue
         if claw and not _claw_free_extension_ok(parent, mask):
             continue
         child = _attach(parent, mask)
@@ -175,7 +236,7 @@ def _expand_parent(parent: Graph, chain: tuple[str, ...]) -> list[Graph]:
             continue
         if "m-free" in chain and find_induced(child, _M) is not None:
             continue
-        candidates = _rule_candidates(child, connected)
+        candidates = rule_candidates(mask)
         if not candidates:
             continue
         labels = canonical_labeling(child)[1]

@@ -59,6 +59,13 @@ EXHAUSTIVE_ORDER_SHA256 = {
         "2bb2789b32899a95f8441dfb87e8ff4b1c7397ea19c729ffd0fbbde49359972a",
 }
 
+# regression-only: the order-10 level of exhaustive_orders(("connected",
+# "claw-free"), 10, 10), one order past MAX_EXHAUSTIVE.  Class count and
+# sha256 of its newline-joined graph6 sequence, both taken from the
+# package's enumerator before the twin pruning existed (commit 155cbdc).
+CONNECTED_CLAW_FREE_10 = 26389
+ORDER_10_SHA256 = "523435df72b2563fff7a8142b7e99445d460f18fb15856a4095aa7119fbd5d06"
+
 # regression-only: sha256 of the newline-joined lines that
 # test_enumerate._sampler_grid_lines gives (one graph6 per grid point, or
 # "<graph6> stuck <achieved_m>" for a stuck run), taken from the package's

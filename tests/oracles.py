@@ -228,8 +228,8 @@ def graphs(draw, min_n=1, max_n=8):
 @st.composite
 def graphs_with_twins(draw, max_n=9):
     """Hypothesis strategy: a graphs() draw with one to three vertices
-    blown up into cliques of size 2..4, whose members are true twins, then
-    relabelled at random; the order stays at most max_n."""
+    blown up into cliques (true twins) or independent sets (false twins) of
+    size 2..4, then relabelled at random; the order stays at most max_n."""
     from clawtrace.graph import from_edges
 
     g = draw(graphs(max_n=max_n - 1))
@@ -237,10 +237,12 @@ def graphs_with_twins(draw, max_n=9):
     picks = draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=3, unique=True))
     for v in picks:
         size = draw(st.integers(2, 4))
+        clique = draw(st.booleans())
         for _ in range(min(size - 1, max_n - len(adj))):
-            # the copy sees v, v's neighbours and the copies made so far
+            # a clique copy sees v, v's neighbours and the copies made so
+            # far; an independent copy sees v's neighbours only
             new = len(adj)
-            adj.append(adj[v] | {v})
+            adj.append(adj[v] | {v} if clique else set(adj[v]))
             for u in adj[new]:
                 adj[u].add(new)
     perm = draw(st.permutations(range(len(adj))))

@@ -1,5 +1,7 @@
 import itertools
+import time
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from clawtrace.canon import (
     canonical_labeling,
 )
 from clawtrace.errors import OrderTooLargeForCanonical
-from clawtrace.families import complete, star
-from clawtrace.graph import from_edges, relabel
+from clawtrace.families import complete, edgeless, star
+from clawtrace.graph import disjoint_union, from_edges, join, relabel
 from clawtrace.graph6 import decode
 
 from oracles import brute_force_isomorphic, random_graph
@@ -94,3 +96,32 @@ def test_star_form_matches_any_hub_position():
         others = [v for v in range(5) if v != hub]
         forms.add(canonical_form(from_edges(5, [(hub, v) for v in others])))
     assert forms == {canonical_form(star(5))}
+
+
+def _nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(edgeless(MAX_CANONICAL), id="empty"),
+        pytest.param(star(MAX_CANONICAL), id="star"),
+        pytest.param(join(edgeless(8), edgeless(8)), id="K8,8"),
+        pytest.param(disjoint_union(complete(8), complete(8)), id="2K8"),
+    ],
+)
+def test_twin_heavy_graphs_at_the_order_cap(g):
+    # every vertex has a twin, so a search without twin pruning visits a
+    # factorial number of leaves; with it each labelling takes milliseconds,
+    # and the bound below only catches a return to the factorial search
+    rng = np.random.default_rng(41)
+    copy = relabel(g, list(rng.permutation(g.n)))
+    start = time.perf_counter()
+    forms = {canonical_form.__wrapped__(h) for h in (g, copy)}
+    assert time.perf_counter() - start < 2.0
+    (form,) = forms
+    assert nx.is_isomorphic(_nx(decode(form)), _nx(g))

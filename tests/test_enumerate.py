@@ -12,6 +12,7 @@ from clawtrace.enumeration import (
     Sample,
     enumerate_graphs,
     exhaustive_list,
+    exhaustive_orders,
     sample_dense_claw_free,
 )
 from clawtrace.errors import InfeasibleSpec, InvalidParams, TargetUnreachable
@@ -145,6 +146,17 @@ def test_output_order_is_frozen(n, chain):
         assert len(graphs) == frozen.CONNECTED_CLAW_FREE_9
     seq = "\n".join(encode(g) for g in graphs)
     assert hashlib.sha256(seq.encode("ascii")).hexdigest() == frozen.EXHAUSTIVE_ORDER_SHA256[n, chain]
+
+
+@pytest.mark.slow
+def test_order_ten_sweep_is_frozen():
+    # regression-only: exhaustive_orders reaches one order past the cap
+    # that enumerate_graphs enforces, which stays at 9
+    assert MAX_EXHAUSTIVE == 9
+    (graphs,) = exhaustive_orders(("connected", "claw-free"), 10, 10)
+    assert len(graphs) == frozen.CONNECTED_CLAW_FREE_10
+    seq = "\n".join(encode(g) for g in graphs)
+    assert hashlib.sha256(seq.encode("ascii")).hexdigest() == frozen.ORDER_10_SHA256
 
 
 def test_validation_errors():

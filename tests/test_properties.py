@@ -16,7 +16,8 @@ from clawtrace.canon import canonical_form, canonical_labeling
 from clawtrace.enumeration import (
     _attach,
     _claw_free_extension_ok,
-    _rule_candidates,
+    _rule_filter,
+    _twin_skip,
     exhaustive_list,
     sample_dense_claw_free,
 )
@@ -26,7 +27,7 @@ from clawtrace.hamilton import has_hamilton_path
 from clawtrace.structure import is_claw_free
 from clawtrace.verify import _path_closure, decide_traceable
 
-from oracles import claw_free_brute, graphs, path_closure_brute
+from oracles import claw_free_brute, graphs, graphs_with_twins, path_closure_brute
 
 CLAW_FREE = [g for n in range(1, 8) for g in exhaustive_list(n, ("claw-free",))]
 
@@ -53,17 +54,21 @@ def _full_rule_vertex(child: Graph, connected: bool) -> int:
     return max((v for v in range(child.n) if v not in cut), key=labels.__getitem__)
 
 
-@pytest.mark.parametrize("chain", [("connected", "claw-free"), ("connected",), ()])
+CHAINS = [("connected", "claw-free"), ("connected",), ()]
+
+
+@pytest.mark.parametrize("chain", CHAINS)
 def test_key_filter_rejects_only_what_the_full_rule_rejects(chain):
     connected = "connected" in chain
     for n in range(1, 7):
         for parent in exhaustive_list(n, chain):
+            rule_candidates = _rule_filter(parent, connected)
             for mask in range(1 if connected else 0, 1 << n):
                 if "claw-free" in chain and not _claw_free_extension_ok(parent, mask):
                     continue
                 child = _attach(parent, mask)
                 rule = _full_rule_vertex(child, connected)
-                candidates = _rule_candidates(child, connected)
+                candidates = rule_candidates(mask)
                 if candidates:
                     assert rule in candidates
                 else:
@@ -71,9 +76,56 @@ def test_key_filter_rejects_only_what_the_full_rule_rejects(chain):
                     assert canonical_form(rest) != canonical_form(parent)
 
 
+def _prefix_representative(g: Graph, mask: int) -> int:
+    """mask with its members in each twin class of g moved to the class's
+    lowest vertices; u and v are twins when N(u) - v = N(v) - u."""
+    nbrs = [{u for u in range(g.n) if g.has_edge(u, v)} for v in range(g.n)]
+    rep = 0
+    done = set()
+    for v in range(g.n):
+        if v in done:
+            continue
+        cls = [u for u in range(v, g.n) if nbrs[u] - {v} == nbrs[v] - {u}]
+        done.update(cls)
+        taken = sum(mask >> u & 1 for u in cls)
+        rep |= sum(1 << u for u in cls[:taken])
+    return rep
+
+
+def _marked(g: Graph) -> nx.Graph:
+    h = _nx(g)
+    nx.set_node_attributes(h, {v: v == g.n - 1 for v in range(g.n)}, "new")
+    return h
+
+
+@pytest.mark.parametrize("chain", CHAINS)
+def test_twin_skip_drops_only_repeats_of_its_prefix_representative(chain):
+    same_vertex = nx.algorithms.isomorphism.categorical_node_match("new", False)
+    skipped = 0
+    for n in range(1, 7):
+        for parent in exhaustive_list(n, chain):
+            skip = _twin_skip(parent)
+            for mask in range(1 << n):
+                rep = _prefix_representative(parent, mask)
+                assert skip(mask) == (mask != rep)
+                if mask == rep:
+                    continue
+                skipped += 1
+                child, kept = _attach(parent, mask), _attach(parent, rep)
+                assert canonical_form(child) == canonical_form(kept)
+                # an isomorphism that fixes the new vertex, as the argument
+                # for the skip needs
+                assert nx.is_isomorphic(_marked(child), _marked(kept), node_match=same_vertex)
+    assert skipped > 0
+
+
 @settings(max_examples=300, deadline=None)
-@given(graphs(min_n=2), st.randoms(use_true_random=False))
+@given(
+    st.one_of(graphs(min_n=2), graphs_with_twins(max_n=12)),
+    st.randoms(use_true_random=False),
+)
 def test_canonical_form_agrees_with_networkx(g, rnd):
+    # graphs_with_twins gives the twin classes the search prunes on
     perm = list(range(g.n))
     rnd.shuffle(perm)
     same = relabel(g, perm)
