@@ -43,6 +43,7 @@ from .graph import (
     induced,
     is_connected,
     is_two_connected,
+    mask_components,
     popcount,
     relabel,
 )
@@ -177,21 +178,7 @@ def _rule_filter(parent: Graph, connected: bool) -> Callable[[int], list[int]]:
     n = parent.n
     adj = parent.adj
     keys = vertex_keys(parent)
-    pieces: list[list[int]] = []
-    for v in range(n):
-        rest = parent.vertex_mask & ~(1 << v)
-        comps = []
-        while rest:
-            seen = frontier = rest & -rest
-            while frontier:
-                reach = 0
-                for w in bits(frontier):
-                    reach |= adj[w]
-                frontier = reach & rest & ~seen
-                seen |= frontier
-            comps.append(seen)
-            rest &= ~seen
-        pieces.append(comps)
+    pieces = [mask_components(parent, parent.vertex_mask & ~(1 << v)) for v in range(n)]
 
     def candidates(mask: int) -> list[int]:
         inner = {v: (adj[v] & mask).bit_count() for v in bits(mask)}

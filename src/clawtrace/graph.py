@@ -125,31 +125,24 @@ def induced(g: Graph, subset: VertexSet) -> Graph:
     return _from_rows(len(verts), rows)
 
 
-def _component_of(g: Graph, start: int) -> VertexSet:
-    seen = 1 << start
-    frontier = seen
+def _reach(g: Graph, start: int, mask: VertexSet) -> VertexSet:
+    """Vertices reachable from start (a vertex of mask) inside mask."""
+    seen = frontier = 1 << start
     while frontier:
         nxt = 0
         for v in bits(frontier):
             nxt |= g.adj[v]
-        frontier = nxt & ~seen
+        frontier = nxt & mask & ~seen
         seen |= frontier
     return seen
 
 
 def components(g: Graph) -> list[VertexSet]:
-    remaining = g.vertex_mask
-    out = []
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        comp = _component_of(g, start)
-        out.append(comp)
-        remaining &= ~comp
-    return out
+    return mask_components(g, g.vertex_mask)
 
 
 def is_connected(g: Graph) -> bool:
-    return _component_of(g, 0) == g.vertex_mask
+    return _reach(g, 0, g.vertex_mask) == g.vertex_mask
 
 
 @dataclass(frozen=True)
@@ -263,35 +256,16 @@ def mask_is_clique(g: Graph, mask: VertexSet) -> bool:
 
 def mask_connected(g: Graph, mask: VertexSet) -> bool:
     """Is the induced subgraph on `mask` connected (empty mask counts as no)."""
-    if mask == 0:
-        return False
-    start = (mask & -mask).bit_length() - 1
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v] & mask
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == mask
+    return mask != 0 and _reach(g, (mask & -mask).bit_length() - 1, mask) == mask
 
 
 def mask_components(g: Graph, mask: VertexSet) -> list[VertexSet]:
+    """Components of the subgraph induced on `mask`, by lowest vertex."""
     out = []
-    remaining = mask
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v] & mask
-            frontier = nxt & ~seen
-            seen |= frontier
-        out.append(seen)
-        remaining &= ~seen
+    while mask:
+        comp = _reach(g, (mask & -mask).bit_length() - 1, mask)
+        out.append(comp)
+        mask &= ~comp
     return out
 
 

@@ -3,8 +3,10 @@ each graph, and match conclusion violations against declared exception
 families.
 
 A verification run PASSES when every exception is matched; an Unmatched
-entry is a potential counterexample and fails the run.  Spectral hypotheses
-go through compare_threshold, and Borderline graphs are listed separately
+entry is a potential counterexample and fails the run.  Each numeric
+hypothesis is declared once, as a signed margin that is positive on the
+hypothesis side together with its error bound; verify and hunt judge every
+graph by the same rule (_verdict).  Borderline graphs are listed separately
 while still being conclusion-checked, so floating-point slack can hide
 nothing.
 
@@ -23,6 +25,7 @@ import math
 import time
 from contextlib import closing
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Optional
 
@@ -271,8 +274,13 @@ NO = "no"
 BORDER = "borderline"
 
 
-def _geq(est: SpectralEstimate, threshold: float, cmp_tol: float) -> str:
-    v = compare_threshold(est, threshold, cmp_tol)
+def _verdict(margin: float, error: Optional[float], cmp_tol: float) -> str:
+    """YES, NO or BORDER for a signed hypothesis margin, positive on the
+    hypothesis side.  An exact margin (error None) holds when it is >= 0;
+    a float margin is judged by compare_threshold with its error bound."""
+    if error is None:
+        return YES if margin >= 0 else NO
+    v = compare_threshold(SpectralEstimate(margin, 0, True, error), 0.0, cmp_tol)
     if v == ThresholdVerdict.ABOVE:
         return YES
     if v == ThresholdVerdict.BORDERLINE:
@@ -280,17 +288,22 @@ def _geq(est: SpectralEstimate, threshold: float, cmp_tol: float) -> str:
     return NO
 
 
-def _leq(est: SpectralEstimate, threshold: float, cmp_tol: float) -> str:
-    v = compare_threshold(est, threshold, cmp_tol)
-    if v == ThresholdVerdict.BELOW:
-        return YES
-    if v == ThresholdVerdict.BORDERLINE:
-        return BORDER
-    return NO
+def _radius_above(g: Graph, threshold: float) -> tuple[float, float]:
+    # margin of mu(g) >= threshold, with the eigensolver's error bound
+    est = spectral_radius(g)
+    return est.value - threshold, est.residual
 
 
-def _exact(cond: bool) -> str:
-    return YES if cond else NO
+def _complement_radius_below(g: Graph, threshold: float) -> tuple[float, float]:
+    # margin of mu(complement of g) <= threshold
+    est = spectral_radius(complement(g))
+    return threshold - est.value, est.residual
+
+
+@lru_cache(maxsize=None)  # one entry per order, at most 64
+def _complement_threshold(n: int) -> float:
+    """mu(complement of N_{n-3,3}), the MainComplement threshold at order n."""
+    return spectral_radius(complement(nn33(n))).value
 
 
 def _degree_sum_nonadjacent_max(g: Graph) -> Optional[int]:
@@ -305,8 +318,8 @@ def _degree_sum_nonadjacent_max(g: Graph) -> Optional[int]:
     return best
 
 
-def _bounds_hold(g: Graph, ctx) -> bool:
-    mu = ctx.mu(g).value
+def _bounds_hold(g: Graph, _ctx) -> bool:
+    mu = spectral_radius(g).value
     hi = hong_bound(g)
     if mu > hi + BOUND_SLACK:
         return False
@@ -321,8 +334,8 @@ def _is_star(g: Graph) -> bool:
     return degs[-1] == g.n - 1 and all(d == 1 for d in degs[:-1])
 
 
-def _hofmeister_holds(g: Graph, ctx) -> bool:
-    return hofmeister_bound(g) <= ctx.mu(g).value + BOUND_SLACK
+def _hofmeister_holds(g: Graph, _ctx) -> bool:
+    return hofmeister_bound(g) <= spectral_radius(g).value + BOUND_SLACK
 
 
 def _traceable_conclusion(g: Graph, _ctx) -> Optional[bool]:
@@ -333,16 +346,26 @@ def _family_sweep_blown(n: int) -> list[Graph]:
     return [brousek_blown(*spec.params, n) for spec in BROUSEK_BASES]
 
 
-def _blown_properties_hold(g: Graph, ctx) -> bool:
+@dataclass(frozen=True)
+class _Context:
+    cmp_tol: float
+    borderline_hook: Callable[[Graph], None]
+
+
+def _blown_properties_hold(g: Graph, ctx: _Context) -> bool:
     if not is_two_connected(g) or not is_claw_free(g):
         return False
     if has_hamilton_cycle(g):
         return False
-    verdict = _geq(ctx.mu(g), g.n - 7, ctx.cmp_tol)
+    verdict = _verdict(*_radius_above(g, g.n - 7), ctx.cmp_tol)
     if verdict == BORDER:
         ctx.borderline_hook(g)
         return False
     return verdict == YES
+
+
+def _no_families(_n: int) -> list[FamilySpec]:
+    return []
 
 
 @dataclass(frozen=True)
@@ -350,36 +373,26 @@ class TheoremSpec:
     id: str
     chain: tuple[str, ...] | None  # None means a constructed family sweep
     floor_n: int
-    hypothesis: Callable[[Graph, "_Context"], str]
-    conclusion: Callable[[Graph, "_Context"], Optional[bool]]
-    exception_families: Callable[[int], list[FamilySpec]]
+    conclusion: Callable[[Graph, _Context], Optional[bool]]
+    # the numeric hypothesis: (signed margin, positive on the hypothesis
+    # side; its error bound, None when the margin is an exact integer)
+    margin: Callable[[Graph], tuple[float, Optional[float]]] | None = None
+    # the structural hypothesis of a theorem without a margin; with neither,
+    # every graph of the corpus satisfies the hypothesis
+    hypothesis: Callable[[Graph], bool] | None = None
+    exception_families: Callable[[int], list[FamilySpec]] = _no_families
     exception_rule: str = "isomorphic"  # or "pendant-spanning-subgraph"
     sampled_only: bool = False
     family_sweep: Callable[[int], list[Graph]] | None = None
-    # signed hypothesis slack, positive on the hypothesis side; None when
-    # the hypothesis has no numeric threshold to rank near misses by
-    margin: Callable[[Graph, "_Context"], float] | None = None
 
 
-class _Context:
-    def __init__(self, n: int, cmp_tol: float, borderline_hook):
-        self.n = n
-        self.cmp_tol = cmp_tol
-        self.borderline_hook = borderline_hook
-        self._complement_threshold: float | None = None
-
-    def mu(self, g: Graph) -> SpectralEstimate:
-        return spectral_radius(g)
-
-    def complement_threshold(self) -> float:
-        # largest complement eigenvalue of the pendant family at this order
-        if self._complement_threshold is None:
-            self._complement_threshold = self.mu(complement(nn33(self.n))).value
-        return self._complement_threshold
-
-
-def _no_families(_n: int) -> list[FamilySpec]:
-    return []
+def _judge(spec: TheoremSpec, g: Graph, cmp_tol: float) -> tuple[str, Optional[float]]:
+    """The hypothesis verdict on g and its margin (None without a margin)."""
+    if spec.margin is None:
+        holds = spec.hypothesis is None or spec.hypothesis(g)
+        return (YES if holds else NO), None
+    margin, error = spec.margin(g)
+    return _verdict(margin, error, cmp_tol), margin
 
 
 def _nn33_family(n: int) -> list[FamilySpec]:
@@ -412,10 +425,9 @@ def _register(spec: TheoremSpec) -> None:
 _register(
     TheoremSpec(
         id="FiedlerNikiforov1",
-        margin=lambda g, c: c.mu(g).value - (g.n - 2),
+        margin=lambda g: _radius_above(g, g.n - 2),
         chain=(),
         floor_n=2,
-        hypothesis=lambda g, c: _geq(c.mu(g), g.n - 2, c.cmp_tol),
         conclusion=_traceable_conclusion,
         exception_families=_cpi_family,
     )
@@ -423,12 +435,9 @@ _register(
 _register(
     TheoremSpec(
         id="FiedlerNikiforov2",
-        margin=lambda g, c: math.sqrt(g.n - 1) - c.mu(complement(g)).value,
+        margin=lambda g: _complement_radius_below(g, math.sqrt(g.n - 1)),
         chain=(),
         floor_n=2,
-        hypothesis=lambda g, c: _leq(
-            c.mu(complement(g)), math.sqrt(g.n - 1), c.cmp_tol
-        ),
         conclusion=_traceable_conclusion,
         exception_families=_cpi_family,
     )
@@ -436,21 +445,18 @@ _register(
 _register(
     TheoremSpec(
         id="LuLiuTian",
-        margin=lambda g, c: c.mu(g).value - math.sqrt((g.n - 3) ** 2 + 3),
+        margin=lambda g: _radius_above(g, math.sqrt((g.n - 3) ** 2 + 3)),
         chain=("connected",),
         floor_n=7,
-        hypothesis=lambda g, c: _geq(c.mu(g), math.sqrt((g.n - 3) ** 2 + 3), c.cmp_tol),
         conclusion=_traceable_conclusion,
-        exception_families=_no_families,
     )
 )
 _register(
     TheoremSpec(
         id="NingGe",
-        margin=lambda g, c: c.mu(g).value - (g.n - 3),
+        margin=lambda g: _radius_above(g, g.n - 3),
         chain=("connected",),
         floor_n=7,
-        hypothesis=lambda g, c: _geq(c.mu(g), g.n - 3, c.cmp_tol),
         conclusion=_traceable_conclusion,
         exception_families=_ning_ge_family,
     )
@@ -458,10 +464,9 @@ _register(
 _register(
     TheoremSpec(
         id="MainMuG",
-        margin=lambda g, c: c.mu(g).value - (g.n - 4),
+        margin=lambda g: _radius_above(g, g.n - 4),
         chain=("connected", "claw-free"),
         floor_n=2,
-        hypothesis=lambda g, c: _geq(c.mu(g), g.n - 4, c.cmp_tol),
         conclusion=_traceable_conclusion,
         exception_families=_nn33_family,
     )
@@ -469,13 +474,10 @@ _register(
 _register(
     TheoremSpec(
         id="MainComplement",
-        margin=lambda g, c: c.complement_threshold() - c.mu(complement(g)).value,
+        margin=lambda g: _complement_radius_below(g, _complement_threshold(g.n)),
         chain=("connected", "claw-free"),
         floor_n=24,
         sampled_only=True,
-        hypothesis=lambda g, c: _leq(
-            c.mu(complement(g)), c.complement_threshold(), c.cmp_tol
-        ),
         conclusion=_traceable_conclusion,
         exception_families=_nn33_family,
     )
@@ -485,9 +487,7 @@ _register(
         id="DGJ",
         chain=("connected", "claw-free", "net-free"),
         floor_n=1,
-        hypothesis=lambda g, c: YES,
         conclusion=_traceable_conclusion,
-        exception_families=_no_families,
     )
 )
 _register(
@@ -495,31 +495,26 @@ _register(
         id="LBZ",
         chain=("connected", "claw-free", "m-free"),
         floor_n=1,
-        hypothesis=lambda g, c: _exact(is_block_chain(g)),
+        hypothesis=is_block_chain,
         conclusion=_traceable_conclusion,
-        exception_families=_no_families,
     )
 )
 _register(
     TheoremSpec(
         id="DegreeSumLemma",
-        margin=lambda g, c: float((_degree_sum_nonadjacent_max(g) or 0) - (g.n - 1)),
+        # a complete graph has no nonadjacent pair and fails the hypothesis
+        margin=lambda g: (float((_degree_sum_nonadjacent_max(g) or -1) - (g.n - 1)), None),
         chain=("connected", "claw-free", "closed"),
         floor_n=1,
-        hypothesis=lambda g, c: _exact(
-            (_degree_sum_nonadjacent_max(g) or -1) >= g.n - 1
-        ),
         conclusion=_traceable_conclusion,
-        exception_families=_no_families,
     )
 )
 _register(
     TheoremSpec(
         id="EdgeLemma",
-        margin=lambda g, c: float(g.m - math.comb(g.n - 3, 2) - 2),
+        margin=lambda g: (float(g.m - math.comb(g.n - 3, 2) - 2), None),
         chain=("connected", "claw-free"),
         floor_n=6,
-        hypothesis=lambda g, c: _exact(g.m >= math.comb(g.n - 3, 2) + 2),
         conclusion=_traceable_conclusion,
         exception_families=_edge_lemma_families,
     )
@@ -527,15 +522,11 @@ _register(
 _register(
     TheoremSpec(
         id="EdgeLemmaPrime",
-        margin=lambda g, c: g.m - math.comb(g.n, 2) + triple_split_radius(g.n) ** 2,
+        # m >= C(n, 2) - t(n)^2 with t(n) the irrational triple-split radius
+        margin=lambda g: (g.m - math.comb(g.n, 2) + triple_split_radius(g.n) ** 2, 0.0),
         chain=("connected", "claw-free"),
         floor_n=24,
         sampled_only=True,
-        hypothesis=lambda g, c: _geq(
-            SpectralEstimate(float(g.m), 0, True, 0.0),
-            math.comb(g.n, 2) - triple_split_radius(g.n) ** 2,
-            c.cmp_tol,
-        ),
         conclusion=_traceable_conclusion,
         exception_families=_nn33_family,
         exception_rule="pendant-spanning-subgraph",
@@ -546,9 +537,7 @@ _register(
         id="Hong",
         chain=("connected",),
         floor_n=1,
-        hypothesis=lambda g, c: YES,
         conclusion=_bounds_hold,
-        exception_families=_no_families,
     )
 )
 _register(
@@ -556,9 +545,7 @@ _register(
         id="Hofmeister",
         chain=(),
         floor_n=1,
-        hypothesis=lambda g, c: YES,
         conclusion=_hofmeister_holds,
-        exception_families=_no_families,
     )
 )
 _register(
@@ -566,7 +553,6 @@ _register(
         id="BrousekOrder9",
         chain=("connected", "claw-free", "two-connected"),
         floor_n=3,
-        hypothesis=lambda g, c: YES,
         conclusion=lambda g, c: has_hamilton_cycle(g),
         exception_families=_brousek_families,
     )
@@ -576,32 +562,26 @@ _register(
         id="HamiltonianFamily",
         chain=None,
         floor_n=9,
-        hypothesis=lambda g, c: YES,
         conclusion=_blown_properties_hold,
-        exception_families=_no_families,
         family_sweep=_family_sweep_blown,
     )
 )
 _register(
     TheoremSpec(
         id="Dirac",
-        margin=lambda g, c: float(2 * g.min_degree() - (g.n - 1)),
+        margin=lambda g: (float(2 * g.min_degree() - (g.n - 1)), None),
         chain=(),
         floor_n=1,
-        hypothesis=lambda g, c: _exact(2 * g.min_degree() >= g.n - 1),
         conclusion=_traceable_conclusion,
-        exception_families=_no_families,
     )
 )
 _register(
     TheoremSpec(
         id="MatthewsSumner",
-        margin=lambda g, c: float(3 * g.min_degree() - (g.n - 2)),
+        margin=lambda g: (float(3 * g.min_degree() - (g.n - 2)), None),
         chain=("connected", "claw-free"),
         floor_n=1,
-        hypothesis=lambda g, c: _exact(3 * g.min_degree() >= g.n - 2),
         conclusion=_traceable_conclusion,
-        exception_families=_no_families,
     )
 )
 
@@ -661,6 +641,20 @@ def _render(g: Graph) -> str:
     return g6.encode(g)
 
 
+def _checked_spec(theorem: str, n_min: int, cmp_tol: float, top: int = 0) -> TheoremSpec:
+    """The registry entry of a verify or hunt run whose arguments are in range."""
+    if theorem not in REGISTRY:
+        raise InfeasibleRange(f"unknown theorem id {theorem!r}")
+    spec = REGISTRY[theorem]
+    if n_min < spec.floor_n:
+        raise InfeasibleRange(f"{theorem} applies from n = {spec.floor_n}, got {n_min}")
+    if not (math.isfinite(cmp_tol) and cmp_tol >= 0):
+        raise InfeasibleRange(f"cmp_tol must be finite and >= 0, got {cmp_tol}")
+    if top < 0:
+        raise InfeasibleRange(f"top must be >= 0, got {top}")
+    return spec
+
+
 def _split_count(total: int, parts: int) -> list[int]:
     base, extra = divmod(total, parts)
     return [base + (1 if i < extra else 0) for i in range(parts)]
@@ -682,20 +676,14 @@ def verify(
     Exhaustive mode sweeps every isomorphism class of the theorem's corpus;
     sample mode draws `count` seeded dense graphs split evenly across the
     orders (per-order seed is seed + n).  Counterexamples never raise; they
-    land in the report as Unmatched exceptions.  cmp_tol is the threshold
-    comparison slack, to which each comparison adds the estimate's own error
-    bound; a graph whose margin lies within that slack is listed as
-    borderline and still checked.
+    land in the report as Unmatched exceptions.  cmp_tol (finite, >= 0) is
+    the threshold comparison slack, to which each comparison adds the
+    margin's own error bound; a graph whose margin lies within that slack is
+    listed as borderline and still checked.
     """
-    if theorem not in REGISTRY:
-        raise InfeasibleRange(f"unknown theorem id {theorem!r}")
-    spec = REGISTRY[theorem]
+    spec = _checked_spec(theorem, n_min, cmp_tol)
     if n_min > n_max:
         raise InfeasibleRange(f"empty range {n_min}..{n_max}")
-    if n_min < spec.floor_n:
-        raise InfeasibleRange(
-            f"{theorem} applies from n = {spec.floor_n}, got n_min = {n_min}"
-        )
     sampling = mode == "sample"
     if mode not in ("exhaustive", "sample"):
         raise InfeasibleRange(f"unknown mode {mode!r}")
@@ -719,22 +707,22 @@ def verify(
     per_order = _split_count(count, len(orders)) if sampling else None
     # created unstarted: only the exhaustive branch ever advances it
     sweep = exhaustive_orders(spec.chain, n_min, n_max, workers)
+    ctx = _Context(cmp_tol, lambda g: borderline.append(_render(g)))
+
+    def consume(g: Graph) -> None:
+        nonlocal checked
+        checked += 1
+        verdict, _ = _judge(spec, g, cmp_tol)
+        if verdict == BORDER:
+            borderline.append(_render(g))
+        if verdict == NO:
+            return
+        if spec.conclusion(g, ctx) is not True:
+            # violated or undecided: match against the declared exceptions
+            exceptions.append((_render(g), _exception_label(g, spec)))
+
     with closing(sweep):
         for idx, n in enumerate(orders):
-            ctx = _Context(n, cmp_tol, lambda g: borderline.append(_render(g)))
-
-            def consume(g: Graph, ctx=ctx) -> None:
-                nonlocal checked
-                checked += 1
-                verdict = spec.hypothesis(g, ctx)
-                if verdict == BORDER:
-                    borderline.append(_render(g))
-                if verdict == NO:
-                    return
-                if spec.conclusion(g, ctx) is not True:
-                    # violated or undecided: match against the declared exceptions
-                    exceptions.append((_render(g), _exception_label(g, spec)))
-
             if spec.family_sweep is not None:
                 for g in spec.family_sweep(n):
                     consume(g)
@@ -801,16 +789,12 @@ def hunt(
     Samples the theorem's corpus, flags hypothesis-satisfying graphs whose
     conclusion fails and that match no declared exception, and ranks
     conclusion-violating graphs that just miss the hypothesis by how close
-    their margin comes to the threshold."""
-    if theorem not in REGISTRY:
-        raise InfeasibleRange(f"unknown theorem id {theorem!r}")
-    spec = REGISTRY[theorem]
+    their margin comes to the threshold, keeping the `top` closest."""
+    spec = _checked_spec(theorem, n, cmp_tol, top)
     if spec.margin is None:
         raise InfeasibleRange(f"{theorem} has no numeric hypothesis to hunt against")
-    if n < spec.floor_n:
-        raise InfeasibleRange(f"{theorem} applies from n = {spec.floor_n}, got {n}")
     t0 = time.perf_counter()
-    ctx = _Context(n, cmp_tol, lambda g: None)
+    ctx = _Context(cmp_tol, lambda g: None)
     checked = 0
     counterexamples: list[tuple[str, str]] = []
     misses: list[tuple[float, str]] = []
@@ -818,13 +802,13 @@ def hunt(
     def consume(g: Graph) -> None:
         nonlocal checked
         checked += 1
-        verdict = spec.hypothesis(g, ctx)
+        verdict, margin = _judge(spec, g, cmp_tol)
         concl = spec.conclusion(g, ctx)
         if concl is True:
             return
         if verdict == NO:
             if concl is False:
-                misses.append((spec.margin(g, ctx), _render(g)))
+                misses.append((margin, _render(g)))
             return
         counterexamples.append((_render(g), _exception_label(g, spec)))
 

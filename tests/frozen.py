@@ -72,3 +72,10 @@ ORDER_10_SHA256 = "523435df72b2563fff7a8142b7e99445d460f18fb15856a4095aa7119fbd5
 # sampler before it kept its edge list between deletions.  38 of the 100
 # grid points are stuck.
 SAMPLER_GRID_SHA256 = "b0b6b79e3fc8a6e2f2790013acfe17281bd68c1f820b515b889cc4a744cbafa8"
+
+# regression-only: sha256 of json.dumps of the list of to_dict() reports,
+# elapsed_ms removed, that test_verify.FROZEN_RUNS produces, taken from the
+# package's verifier before the registry declared each hypothesis once as a
+# signed margin (commit d55c687).  Pins hunt near-miss margins, borderline
+# lists and exception labels across every numeric theorem.
+FROZEN_REPORTS_SHA256 = "ed1f2dc896de1271bfe885b0d95cbf9820e2ccade92d06fa37a045fe82b4a54f"

@@ -242,6 +242,27 @@ def test_verify_rejections_exit_2(capsys):
     assert "sample" in capsys.readouterr().err
 
 
+def test_out_of_range_numbers_exit_2(capsys, monkeypatch):
+    # a negative or non-finite tolerance and a negative --top are usage
+    # errors, never counterexamples or silently shortened lists
+    monkeypatch.delenv("CMP_TOL", raising=False)
+    assert cli.run(["verify", "main-mu", "--n-min", "7", "--n-max", "7",
+                    "--cmp-tol", "-0.5", "--workers", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "cmp_tol" in err
+    hunt_args = ["hunt", "--theorem", "main-mu", "--n", "8", "--seed", "3",
+                 "--count", "40", "--density", "0.3"]
+    assert cli.run(hunt_args + ["--cmp-tol", "nan"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "cmp_tol" in err
+    assert cli.run(hunt_args + ["--top", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "top" in err
+    monkeypatch.setenv("CMP_TOL", "inf")
+    assert cli.run(hunt_args) == 2
+    assert "cmp_tol" in capsys.readouterr().err
+
+
 def test_bad_graph6_exit_2(capsys):
     assert cli.run(["analyze", "~~bogus~~"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,11 +1,12 @@
 """Property tests for the augmentation filters, the canonical form, the
 claw test, the path closure and the traceability cascade.
 
-networkx serves as the independent oracle for isomorphism and cut
-vertices; the removal rule is written out here from canonical_labeling and
-canonical_form, not taken from the enumerator.  The claw test is checked
-against the brute-force triple scan, the path closure against an all-pairs
-fixpoint loop, and the cascade against the exact Hamilton path solver.
+networkx serves as the independent oracle for isomorphism, cut vertices
+and the components under a vertex mask; the removal rule is written out
+here from canonical_labeling and canonical_form, not taken from the
+enumerator.  The claw test is checked against the brute-force triple scan,
+the path closure against an all-pairs fixpoint loop, and the cascade
+against the exact Hamilton path solver.
 """
 import networkx as nx
 import pytest
@@ -22,7 +23,16 @@ from clawtrace.enumeration import (
     sample_dense_claw_free,
 )
 from clawtrace.errors import TargetUnreachable
-from clawtrace.graph import Graph, from_edges, induced, relabel
+from clawtrace.graph import (
+    Graph,
+    components,
+    from_edges,
+    induced,
+    is_connected,
+    mask_components,
+    mask_connected,
+    relabel,
+)
 from clawtrace.hamilton import has_hamilton_path
 from clawtrace.structure import is_claw_free
 from clawtrace.verify import _path_closure, decide_traceable
@@ -178,3 +188,23 @@ def test_claw_test_matches_brute_force_at_every_density(g):
 @given(st.one_of(graphs(max_n=12), sampled_claw_free()))
 def test_path_closure_matches_all_pairs_fixpoint(g):
     assert _path_closure(g).adj == path_closure_brute(g).adj
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=10), st.data())
+def test_component_helpers_match_networkx(g, data):
+    mask = data.draw(st.integers(0, g.vertex_mask))
+    want = sorted(
+        sum(1 << v for v in comp)
+        for comp in nx.connected_components(_nx(g).subgraph(
+            [v for v in range(g.n) if mask >> v & 1]))
+    )
+    # components come by lowest vertex, which is the order of their masks'
+    # lowest set bits
+    got = mask_components(g, mask)
+    assert sorted(got) == want
+    assert [c & -c for c in got] == sorted(c & -c for c in got)
+    assert mask_connected(g, mask) == (len(want) == 1)
+    full = [sum(1 << v for v in c) for c in nx.connected_components(_nx(g))]
+    assert components(g) == sorted(full, key=lambda c: c & -c)
+    assert is_connected(g) == nx.is_connected(_nx(g))

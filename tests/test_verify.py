@@ -1,10 +1,14 @@
+import hashlib
+import importlib
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from clawtrace.canon import canonical_form
-from clawtrace.errors import InfeasibleRange, OrderTooLargeForCanonical
+from clawtrace.errors import InfeasibleRange, OrderTooLargeForCanonical, TargetUnreachable
 from clawtrace.families import (
     BROUSEK_BASES,
     FamilySpec,
@@ -20,11 +24,18 @@ from clawtrace.families import (
 from clawtrace.graph import disjoint_union, from_edges, join, relabel
 from clawtrace.hamilton import has_hamilton_path
 from clawtrace.enumeration import exhaustive_list, sample_dense_claw_free
-from clawtrace.spectral import spectral_radius
+from clawtrace.spectral import (
+    EPS,
+    SpectralEstimate,
+    ThresholdVerdict,
+    compare_threshold,
+    spectral_radius,
+)
 from clawtrace.verify import (
     THEOREM_IDS,
     REGISTRY,
     _is_pendant_family,
+    _judge,
     decide_traceable,
     hunt,
     is_spanning_subgraph_of_pendant_family,
@@ -33,7 +44,7 @@ from clawtrace.verify import (
 )
 
 import frozen
-from oracles import random_graph
+from oracles import adjacency, random_graph
 
 
 def cycle_graph(n):
@@ -203,6 +214,12 @@ def test_constructed_family_sweep():
     r = verify("HamiltonianFamily", 12, 13)
     assert r.passed and r.checked == 8
     assert r.borderline == ()
+    # a tolerance wider than every mu - (n - 7) makes each graph borderline;
+    # a borderline graph fails the family's properties, so it is listed as
+    # borderline and as an Unmatched exception
+    wide = verify("HamiltonianFamily", 12, 13, cmp_tol=50.0)
+    assert wide.checked == 8 and len(wide.borderline) == 8
+    assert wide.exceptions == tuple((s, "Unmatched") for s in wide.borderline)
 
 
 def test_sampled_modes():
@@ -262,6 +279,9 @@ def test_infeasible_ranges_rejected():
         verify("HamiltonianFamily", 12, 12, mode="sample", count=5, seed=1)
     with pytest.raises(InfeasibleRange):
         verify("MainMuG", 7, 7, mode="warp")
+    for tol in (-0.5, math.nan, math.inf):
+        with pytest.raises(InfeasibleRange, match="cmp_tol"):
+            verify("MainMuG", 7, 7, cmp_tol=tol)
 
 
 def test_exception_families_satisfy_hypothesis_violate_conclusion():
@@ -306,8 +326,197 @@ def test_hunt_rejects_margin_free_theorems():
         hunt("MainMuG", n=1, seed=1, count=5)
 
 
+def test_hunt_rejects_out_of_range_numbers():
+    # top=-1 would slice off the last near miss; a negative or non-finite
+    # tolerance would turn clean graphs into counterexamples
+    with pytest.raises(InfeasibleRange, match="top"):
+        hunt("MainMuG", 10, 4, 250, density=0.3, top=-1)
+    for tol in (-0.5, math.nan, -math.inf):
+        with pytest.raises(InfeasibleRange, match="cmp_tol"):
+            hunt("MainMuG", 8, 3, 40, density=0.3, cmp_tol=tol)
+    assert hunt("MainMuG", 8, 3, 40, density=0.3, top=0).near_misses == ()
+
+
+def test_hunt_computes_one_radius_per_graph(monkeypatch):
+    # the package exports a function named verify, so fetch the module
+    verify_module = importlib.import_module("clawtrace.verify")
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return spectral_radius(g)
+
+    monkeypatch.setattr(verify_module, "spectral_radius", counting)
+    h = hunt("MainMuG", 10, 4, 250, density=0.3)
+    assert h.checked == 250 and len(h.near_misses) == 10
+    assert len(calls) == 250
+
+
 def test_hunt_report_serializes():
     h = hunt("MainMuG", n=8, seed=2, count=10)
     d = h.to_dict()
     assert json.loads(json.dumps(d)) == d
     assert d["theorem"] == "MainMuG" and d["n"] == 8 and d["seed"] == 2
+
+
+# ---------------------------------------------------------------------------
+# frozen report bytes
+
+_SMALL_NUMERIC = ("FiedlerNikiforov1", "FiedlerNikiforov2", "LuLiuTian", "NingGe",
+                  "MainMuG", "DegreeSumLemma", "EdgeLemma", "Dirac", "MatthewsSumner")
+
+# one hunt with near misses for each numeric theorem that has them at
+# small orders (the sampler's graphs at n >= 24 are all traceable, so the
+# two sampled-only theorems contribute verdicts but no near miss), plus
+# verify runs at wide tolerances that fill the borderline lists
+FROZEN_RUNS = (
+    [("hunt", (t, 9, 1, 40), {"density": 0.3}) for t in _SMALL_NUMERIC]
+    + [("hunt", (t, 24, 1, 12), {"density": 0.5})
+       for t in ("MainComplement", "EdgeLemmaPrime")]
+    + [
+        ("hunt", ("MainMuG", 8, 3, 40), {"density": 0.3, "cmp_tol": 1.0}),
+        ("hunt", ("FiedlerNikiforov2", 9, 2, 40), {"density": 0.3, "cmp_tol": 2.0}),
+        ("verify", ("MainMuG", 6, 8), {"cmp_tol": 0.5, "workers": 1}),
+        ("verify", ("FiedlerNikiforov1", 6, 7), {"cmp_tol": 0.5, "workers": 1}),
+        ("verify", ("FiedlerNikiforov2", 5, 7), {"cmp_tol": 0.5, "workers": 1}),
+        ("verify", ("LuLiuTian", 7, 7), {"cmp_tol": 0.5, "workers": 1}),
+        ("verify", ("NingGe", 7, 7), {"cmp_tol": 0.5, "workers": 1}),
+        ("verify", ("DegreeSumLemma", 1, 7), {"workers": 1}),
+        ("verify", ("EdgeLemma", 6, 8), {"cmp_tol": 3.0, "workers": 1}),
+        ("verify", ("HamiltonianFamily", 9, 12), {"cmp_tol": 50.0}),
+        ("verify", ("EdgeLemmaPrime", 24, 26), {"mode": "sample", "count": 12, "seed": 5}),
+        ("verify", ("EdgeLemmaPrime", 24, 25),
+         {"mode": "sample", "count": 8, "seed": 9, "density": 0.7, "cmp_tol": 3.0}),
+        ("verify", ("MainComplement", 24, 25),
+         {"mode": "sample", "count": 8, "seed": 5, "cmp_tol": 6.0}),
+    ]
+)
+
+
+def test_report_bytes_are_frozen():
+    reports = []
+    for entry, args, kwargs in FROZEN_RUNS:
+        d = (hunt if entry == "hunt" else verify)(*args, **kwargs).to_dict()
+        d.pop("elapsed_ms")
+        reports.append(d)
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == frozen.FROZEN_REPORTS_SHA256
+
+
+# ---------------------------------------------------------------------------
+# registry against the statements
+
+
+def _mu(a: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(a)[-1])
+
+
+def _pendant_complement_mu(n: int) -> float:
+    # N_{n-3,3}: a clique on 0..n-4 with pendants n-3, n-2, n-1 at 0, 1, 2
+    a = np.zeros((n, n))
+    a[: n - 3, : n - 3] = 1.0
+    for i in range(3):
+        a[i, n - 3 + i] = a[n - 3 + i, i] = 1.0
+    np.fill_diagonal(a, 0.0)
+    return _mu(1.0 - a - np.eye(n))
+
+
+# the README's theorem registry, one row per numeric statement: the
+# quantity, the direction of the hypothesis, the threshold at order n, and
+# whether both sides are integers (exact) or floats
+STATEMENTS = {
+    "FiedlerNikiforov1": ("mu", ">=", lambda n: n - 2, "float"),
+    "FiedlerNikiforov2": ("mu_complement", "<=", lambda n: math.sqrt(n - 1), "float"),
+    "LuLiuTian": ("mu", ">=", lambda n: math.sqrt((n - 3) ** 2 + 3), "float"),
+    "NingGe": ("mu", ">=", lambda n: n - 3, "float"),
+    "MainMuG": ("mu", ">=", lambda n: n - 4, "float"),
+    "MainComplement": ("mu_complement", "<=", _pendant_complement_mu, "float"),
+    "DegreeSumLemma": ("nonadjacent_degree_sum", ">=", lambda n: n - 1, "exact"),
+    "EdgeLemma": ("m", ">=", lambda n: math.comb(n - 3, 2) + 2, "exact"),
+    # the complement threshold in edge-count form, t(n) = 1 + sqrt(3n - 8)
+    "EdgeLemmaPrime": ("m", ">=", lambda n: math.comb(n, 2) - (1 + math.sqrt(3 * n - 8)) ** 2,
+                       "float"),
+    "Dirac": ("2delta", ">=", lambda n: n - 1, "exact"),
+    "MatthewsSumner": ("3delta", ">=", lambda n: n - 2, "exact"),
+}
+
+
+def _quantities(g) -> dict:
+    a = adjacency(g)
+    degs = a.sum(axis=1)
+    apart = [degs[u] + degs[v] for u in range(g.n) for v in range(u + 1, g.n) if not a[u, v]]
+    return {
+        "mu": _mu(a),
+        "mu_complement": _mu(1.0 - a - np.eye(g.n)),
+        # a graph with no nonadjacent pair fails the degree-sum hypothesis
+        "nonadjacent_degree_sum": max(apart) if apart else -math.inf,
+        "m": float(len(list(g.edges()))),
+        "2delta": 2 * degs.min(),
+        "3delta": 3 * degs.min(),
+    }
+
+
+def _statement_verdict(theorem: str, q: dict, n: int, cmp_tol: float):
+    quantity, direction, threshold, kind = STATEMENTS[theorem]
+    value, t = q[quantity], threshold(n)
+    margin = value - t if direction == ">=" else t - value
+    if kind == "exact":
+        return ("yes" if margin >= 0 else "no"), margin
+    error = EPS * value if quantity.startswith("mu") else 0.0
+    if margin > cmp_tol + error:
+        return "yes", margin
+    if margin < -(cmp_tol + error):
+        return "no", margin
+    return "borderline", margin
+
+
+def _samples_24_to_26():
+    out = []
+    for n in (24, 25, 26):
+        for seed in range(4):
+            target = int(math.comb(n, 2) * (0.6, 0.7, 0.8, 0.95)[seed])
+            try:
+                out.append(sample_dense_claw_free(n, target, seed=100 * n + seed))
+            except TargetUnreachable as exc:
+                out.append(exc.graph)
+    return out
+
+
+def test_registry_matches_the_statement_table(corpus):
+    assert set(STATEMENTS) == {t for t, spec in REGISTRY.items() if spec.margin is not None}
+    graphs = [g for n in (6, 7, 8) for g in corpus(n)] + _samples_24_to_26()
+    verdicts = set()
+    for g in graphs:
+        q = _quantities(g)
+        for theorem in STATEMENTS:
+            for tol in (1e-9, 0.5):
+                want, want_margin = _statement_verdict(theorem, q, g.n, tol)
+                verdict, margin = _judge(REGISTRY[theorem], g, tol)
+                assert verdict == want, (theorem, g, tol)
+                assert isinstance(margin, float)
+                if want_margin == -math.inf:  # the registry's K_n margin is -n
+                    assert margin < 0
+                else:
+                    assert margin == pytest.approx(want_margin, abs=1e-9), (theorem, g)
+                verdicts.add((theorem, verdict))
+    # the graphs reach both sides of every threshold
+    for theorem in STATEMENTS:
+        assert {(theorem, "yes"), (theorem, "no")} <= verdicts, theorem
+
+
+def test_edge_lemma_prime_verdicts_match_compare_threshold():
+    # the registry judges m - C(n,2) + t^2 > tol; the reference compares m
+    # with C(n,2) - t^2, which can differ in the last ulp
+    spec = REGISTRY["EdgeLemmaPrime"]
+    to_verdict = {ThresholdVerdict.ABOVE: "yes", ThresholdVerdict.BELOW: "no",
+                  ThresholdVerdict.BORDERLINE: "borderline"}
+    cases = 0
+    for n in range(24, 31):
+        threshold = math.comb(n, 2) - (1 + math.sqrt(3 * n - 8)) ** 2
+        for m in range(math.comb(n, 2) + 1):
+            g = SimpleNamespace(n=n, m=m)  # the margin reads n and m only
+            for tol in (0.0, 1e-9, 1e-6, 0.5, 1.0, 3.0):
+                ref = compare_threshold(SpectralEstimate(float(m), 0, True, 0.0), threshold, tol)
+                assert _judge(spec, g, tol)[0] == to_verdict[ref], (n, m, tol)
+                cases += 1
+    assert cases == 14_868
