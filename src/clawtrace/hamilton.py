@@ -8,13 +8,14 @@ used, not which ones.  Vertex 0 is always a class of its own.  For each
 count vector the DP stores, as one int32 bitmask over the classes, the
 classes in which a path from 0 with those counts can end.  States are
 processed layer by layer in order of the number of vertices used, so every
-transition flows from one layer to the next, and each layer costs one
-vectorized pass per target class w: every live state with fewer than
-|w| members of w used and an endpoint class adjacent to w gains w as an
-endpoint of the state with one more member of w.  The states of each layer
-are built once per tuple of class sizes and cached, so a sweep over many
-graphs of one shape never rebuilds them.  On a twin-free graph every class
-is one vertex and the DP is the plain subset DP.
+transition flows from one layer to the next.  Each layer is one
+vectorized step for all classes at once, taken over its live states in
+fixed-size chunks: every live state with fewer than |w| members of a class
+w used and an endpoint class adjacent to w gains w as an endpoint of the
+state with one more member of w.  The states of each layer are built once
+per tuple of class sizes and cached, so a sweep over many graphs of one
+shape never rebuilds them.  On a twin-free graph every class is one vertex
+and the DP is the plain subset DP.
 
 A Hamilton cycle passes through vertex 0, so the cycle test runs the DP on
 g itself.  g has a Hamilton path exactly when g plus an apex joined to every
@@ -33,6 +34,9 @@ from .errors import OrderTooLargeForExact
 from .graph import Graph, bits, is_connected
 
 MAX_EXACT = 24
+# live states per step of _run_dp; a step's temporaries take at most about
+# 20 bytes per class and state, so about 4 MiB at 24 classes
+_CHUNK = 8192
 
 
 def _check_order(g: Graph) -> None:
@@ -119,14 +123,31 @@ def _run_dp(g: Graph) -> np.ndarray:
     of adjacent classes are adjacent, and two members of one class of size
     two or more are adjacent twins.  So dp[index] holds exactly the classes
     of the endpoints of the paths from 0 with those counts, and a Hamilton
-    path is a live class at the index with every field full."""
+    path is a live class at the index with every field full.
+
+    Each layer is one step for every class at once: a [classes, states]
+    hit matrix marks where class w extends a live state, and np.add.at
+    adds bit w to the entry at state + step_w.  Adding is ORing here.  A
+    state whose field is below its class size gains one member without a
+    carry into the next field, so the target of (state, w) is another index
+    of the next layer, and state = target - step_w is the only source of
+    bit w at that target; and a target's entry is still 0 when its
+    predecessor layer runs, because nothing else writes to it.  So every
+    entry receives distinct bits once each, over any split of the layer
+    into chunks of _CHUNK states, which keep the temporaries small."""
     lay = _layout(g)
     dp = np.zeros(1 << lay.width, dtype=np.int32)
     dp[0] = 1
-    fields = [
-        (1 << w, lay.nbrs[w], ((1 << s.bit_length()) - 1) << off, s << off, 1 << off)
-        for w, (s, off) in enumerate(zip(lay.sizes, lay.offsets), start=1)
-    ]
+    # row w - 1 holds the values of class w, broadcast against a chunk of
+    # states
+    def column(values):
+        return np.array(values, dtype=np.uint32)[:, None]
+
+    step = column([1 << off for off in lay.offsets])
+    limit = column(lay.sizes) * step
+    field = column([(1 << s.bit_length()) - 1 for s in lay.sizes]) * step
+    nbrs = np.array(lay.nbrs[1:], dtype=np.int32)[:, None]
+    bit = np.array([1 << w for w in range(1, len(lay.members))], dtype=np.int32)
     for states in _layers(lay.sizes)[:-1]:
         ends = dp[states]
         live = ends != 0
@@ -134,11 +155,12 @@ def _run_dp(g: Graph) -> np.ndarray:
             break
         states = states[live]
         ends = ends[live]
-        for w_bit, w_nbrs, field, limit, step in fields:
-            hit = ((ends & w_nbrs) != 0) & ((states & field) < limit)
-            # distinct states stay distinct once one step is added, so the
-            # fancy OR below never drops a write
-            dp[states[hit] + step] |= w_bit
+        for lo in range(0, len(states), _CHUNK):
+            chunk = states[lo:lo + _CHUNK]
+            hit = ((ends[lo:lo + _CHUNK] & nbrs) != 0) & ((chunk & field) < limit)
+            # a boolean index runs row by row, so the targets come class by
+            # class and bit w repeats once per hit of row w - 1
+            np.add.at(dp, (chunk + step)[hit], bit.repeat(hit.sum(1)))
     return dp
 
 

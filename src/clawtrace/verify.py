@@ -694,6 +694,8 @@ def verify(
             raise InfeasibleRange(f"{theorem} sweeps a constructed family only")
         if count is None or seed is None:
             raise InfeasibleRange("sample mode needs --count and --seed")
+        if count < 0:  # before the split, which would name a per-order share
+            raise InfeasibleRange(f"sample count must be >= 0, got {count}")
     elif spec.family_sweep is None and n_max > MAX_EXHAUSTIVE:
         raise InfeasibleRange(
             f"exhaustive mode capped at n <= {MAX_EXHAUSTIVE}, got n_max = {n_max}"

@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clawtrace import hamilton
 from clawtrace.errors import OrderTooLargeForExact
 from clawtrace.families import complete, complete_split, nn33, star
 from clawtrace.graph import bits, disjoint_union, from_edges
@@ -227,6 +229,26 @@ def test_dp_tables_match_subset_loop_on_random_graphs():
     for _ in range(40):
         n = int(rng.integers(6, 11))
         assert_tables_match(random_graph(rng, n, rng.random()))
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_dp_tables_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    # layers of many chunks, and targets fed from states in different chunks
+    monkeypatch.setattr(hamilton, "_CHUNK", chunk)
+    rng = np.random.default_rng(101)
+    for _ in range(12):
+        g = random_graph(rng, int(rng.integers(4, 11)), rng.random())
+        for h in (g, _with_apex(g)):
+            assert _run_dp(h).tolist() == projected_table(h)
+
+
+@settings(max_examples=50, deadline=None)
+@given(graphs_with_twins(max_n=10), st.sampled_from([1, 3]))
+def test_twin_class_tables_do_not_depend_on_the_chunk_size(g, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hamilton, "_CHUNK", chunk)
+        for h in (g, _with_apex(g)):
+            assert _run_dp(h).tolist() == projected_table(h)
 
 
 def test_anchor_of_degree_two():

@@ -279,6 +279,9 @@ def test_infeasible_ranges_rejected():
         verify("HamiltonianFamily", 12, 12, mode="sample", count=5, seed=1)
     with pytest.raises(InfeasibleRange):
         verify("MainMuG", 7, 7, mode="warp")
+    # the caller's count, not the share of one order after the split
+    with pytest.raises(InfeasibleRange, match=r"sample count must be >= 0, got -4$"):
+        verify("MainComplement", 24, 25, mode="sample", count=-4, seed=1)
     for tol in (-0.5, math.nan, math.inf):
         with pytest.raises(InfeasibleRange, match="cmp_tol"):
             verify("MainMuG", 7, 7, cmp_tol=tol)
