@@ -28,22 +28,6 @@ class FamilySpec:
         return f"{self.kind}({inner})"
 
 
-KINDS = (
-    "Complete",
-    "Star",
-    "CompleteSplit",
-    "Nn33",
-    "NetN",
-    "GraphM",
-    "GraphL",
-    "Claw",
-    "NingGe",
-    "Brousek",
-    "BrousekBlown",
-    "CompletePlusIsolated",
-)
-
-
 def _check_order(n: int) -> None:
     if not 1 <= n <= 64:
         raise OrderOutOfRange(f"order {n} outside 1..64")
@@ -205,6 +189,7 @@ _CONSTRUCTORS = {
     "BrousekBlown": brousek_blown,
     "CompletePlusIsolated": complete_plus_isolated,
 }
+KINDS = tuple(_CONSTRUCTORS)
 
 
 def make(spec: FamilySpec) -> Graph:

@@ -4,11 +4,15 @@ families.
 
 A verification run PASSES when every exception is matched; an Unmatched
 entry is a potential counterexample and fails the run.  Each numeric
-hypothesis is declared once, as a signed margin that is positive on the
-hypothesis side together with its error bound; verify and hunt judge every
-graph by the same rule (_verdict).  Borderline graphs are listed separately
-while still being conclusion-checked, so floating-point slack can hide
-nothing.
+statement is declared once, as a signed margin that is positive on the
+statement's side together with its error bound; verify and hunt judge every
+graph by the same rule (_verdict), and cmp_tol reaches nothing else.  Each
+conclusion is a function of the graph alone.  For a theorem the margin is
+its hypothesis: borderline graphs are listed separately while still being
+conclusion-checked, so floating-point slack can hide nothing.  A constructed
+family sweep claims its margin instead: a graph whose margin is borderline
+or fails is listed as an exception, and a borderline one also as
+borderline.
 
 Traceability is decided by an exact cascade, cheapest certificate first:
 the degree-sum path closure of the graph itself, structural
@@ -25,7 +29,6 @@ import math
 import time
 from contextlib import closing
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Optional
 
@@ -45,7 +48,7 @@ from .errors import (
     OrderOutOfRange,
     OrderTooLargeForCanonical,
 )
-from .families import BROUSEK_BASES, FamilySpec, brousek_blown, make, nn33
+from .families import BROUSEK_BASES, FamilySpec, brousek_blown, make
 from .graph import (
     Graph,
     bits,
@@ -69,26 +72,6 @@ from .spectral import (
     triple_split_radius,
 )
 from .structure import closure, is_claw_free
-
-THEOREM_IDS = (
-    "FiedlerNikiforov1",
-    "FiedlerNikiforov2",
-    "LuLiuTian",
-    "NingGe",
-    "MainMuG",
-    "MainComplement",
-    "DGJ",
-    "LBZ",
-    "DegreeSumLemma",
-    "EdgeLemma",
-    "EdgeLemmaPrime",
-    "Hong",
-    "Hofmeister",
-    "BrousekOrder9",
-    "HamiltonianFamily",
-    "Dirac",
-    "MatthewsSumner",
-)
 
 BOUND_SLACK = 1e-9
 
@@ -300,10 +283,16 @@ def _complement_radius_below(g: Graph, threshold: float) -> tuple[float, float]:
     return threshold - est.value, est.residual
 
 
-@lru_cache(maxsize=None)  # one entry per order, at most 64
 def _complement_threshold(n: int) -> float:
-    """mu(complement of N_{n-3,3}), the MainComplement threshold at order n."""
-    return spectral_radius(complement(nn33(n))).value
+    """mu(complement of N_{n-3,3}), the MainComplement threshold at order n.
+
+    The partition {pendants, their attachment vertices, the rest of the
+    clique} is equitable in that complement, with quotient matrix
+    [[2, 2, n-6], [2, 0, 0], [3, 0, 0]] (Godsil and Royle, Algebraic Graph
+    Theory, ch. 9).  Its largest eigenvalue is the radius, the largest root
+    of x^2 - 2x - (3n - 14).
+    """
+    return 1 + math.sqrt(3 * n - 13)
 
 
 def _degree_sum_nonadjacent_max(g: Graph) -> Optional[int]:
@@ -318,7 +307,7 @@ def _degree_sum_nonadjacent_max(g: Graph) -> Optional[int]:
     return best
 
 
-def _bounds_hold(g: Graph, _ctx) -> bool:
+def _bounds_hold(g: Graph) -> bool:
     mu = spectral_radius(g).value
     hi = hong_bound(g)
     if mu > hi + BOUND_SLACK:
@@ -334,11 +323,13 @@ def _is_star(g: Graph) -> bool:
     return degs[-1] == g.n - 1 and all(d == 1 for d in degs[:-1])
 
 
-def _hofmeister_holds(g: Graph, _ctx) -> bool:
+def _hofmeister_holds(g: Graph) -> bool:
     return hofmeister_bound(g) <= spectral_radius(g).value + BOUND_SLACK
 
 
-def _traceable_conclusion(g: Graph, _ctx) -> Optional[bool]:
+def _traceable_conclusion(g: Graph) -> Optional[bool]:
+    # calls through the module global, so a wrapper set on the module
+    # attribute (perfbench's tracer) sees every call
     return decide_traceable(g)
 
 
@@ -346,22 +337,8 @@ def _family_sweep_blown(n: int) -> list[Graph]:
     return [brousek_blown(*spec.params, n) for spec in BROUSEK_BASES]
 
 
-@dataclass(frozen=True)
-class _Context:
-    cmp_tol: float
-    borderline_hook: Callable[[Graph], None]
-
-
-def _blown_properties_hold(g: Graph, ctx: _Context) -> bool:
-    if not is_two_connected(g) or not is_claw_free(g):
-        return False
-    if has_hamilton_cycle(g):
-        return False
-    verdict = _verdict(*_radius_above(g, g.n - 7), ctx.cmp_tol)
-    if verdict == BORDER:
-        ctx.borderline_hook(g)
-        return False
-    return verdict == YES
+def _blown_properties_hold(g: Graph) -> bool:
+    return is_two_connected(g) and is_claw_free(g) and not has_hamilton_cycle(g)
 
 
 def _no_families(_n: int) -> list[FamilySpec]:
@@ -371,11 +348,12 @@ def _no_families(_n: int) -> list[FamilySpec]:
 @dataclass(frozen=True)
 class TheoremSpec:
     id: str
-    chain: tuple[str, ...] | None  # None means a constructed family sweep
+    chain: tuple[str, ...]
     floor_n: int
-    conclusion: Callable[[Graph, _Context], Optional[bool]]
-    # the numeric hypothesis: (signed margin, positive on the hypothesis
-    # side; its error bound, None when the margin is an exact integer)
+    conclusion: Callable[[Graph], Optional[bool]]
+    # the numeric hypothesis, or a family sweep's claim: (signed margin,
+    # positive on the statement's side; its error bound, None when the
+    # margin is an exact integer)
     margin: Callable[[Graph], tuple[float, Optional[float]]] | None = None
     # the structural hypothesis of a theorem without a margin; with neither,
     # every graph of the corpus satisfies the hypothesis
@@ -383,6 +361,8 @@ class TheoremSpec:
     exception_families: Callable[[int], list[FamilySpec]] = _no_families
     exception_rule: str = "isomorphic"  # or "pendant-spanning-subgraph"
     sampled_only: bool = False
+    # the graphs of a constructed family sweep at order n; such a sweep
+    # claims its margin, so only a YES verdict goes on to the conclusion
     family_sweep: Callable[[int], list[Graph]] | None = None
 
 
@@ -553,14 +533,16 @@ _register(
         id="BrousekOrder9",
         chain=("connected", "claw-free", "two-connected"),
         floor_n=3,
-        conclusion=lambda g, c: has_hamilton_cycle(g),
+        conclusion=has_hamilton_cycle,
         exception_families=_brousek_families,
     )
 )
 _register(
     TheoremSpec(
         id="HamiltonianFamily",
-        chain=None,
+        # the claim mu > n - 7 of each blown-up Brousek graph
+        margin=lambda g: _radius_above(g, g.n - 7),
+        chain=(),
         floor_n=9,
         conclusion=_blown_properties_hold,
         family_sweep=_family_sweep_blown,
@@ -585,7 +567,7 @@ _register(
     )
 )
 
-assert tuple(REGISTRY) == THEOREM_IDS
+THEOREM_IDS = tuple(REGISTRY)
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +612,12 @@ def _exception_label(g: Graph, spec: TheoremSpec) -> str:
         fam = match_exception(g, spec.exception_families(g.n))
         if fam is not None:
             return fam.label()
-    elif _is_pendant_family(g):
-        return FamilySpec("Nn33", (g.n,)).label()
+    else:
+        # above the canonical range only N_{n-3,3} has an exact test, and
+        # only a theorem that declares it may match it
+        pendant = FamilySpec("Nn33", (g.n,))
+        if pendant in spec.exception_families(g.n) and _is_pendant_family(g):
+            return pendant.label()
     return "Unmatched"
 
 
@@ -705,11 +691,8 @@ def verify(
     checked = 0
     exceptions: list[tuple[str, str]] = []
     borderline: list[str] = []
-    orders = list(range(n_min, n_max + 1))
-    per_order = _split_count(count, len(orders)) if sampling else None
-    # created unstarted: only the exhaustive branch ever advances it
-    sweep = exhaustive_orders(spec.chain, n_min, n_max, workers)
-    ctx = _Context(cmp_tol, lambda g: borderline.append(_render(g)))
+    orders = range(n_min, n_max + 1)
+    claimed = spec.family_sweep is not None
 
     def consume(g: Graph) -> None:
         nonlocal checked
@@ -717,24 +700,24 @@ def verify(
         verdict, _ = _judge(spec, g, cmp_tol)
         if verdict == BORDER:
             borderline.append(_render(g))
-        if verdict == NO:
+        if verdict == NO and not claimed:
             return
-        if spec.conclusion(g, ctx) is not True:
-            # violated or undecided: match against the declared exceptions
+        # a claimed margin that does not hold is an exception by itself;
+        # otherwise a violated or undecided conclusion is one
+        if (claimed and verdict != YES) or spec.conclusion(g) is not True:
             exceptions.append((_render(g), _exception_label(g, spec)))
 
-    with closing(sweep):
-        for idx, n in enumerate(orders):
-            if spec.family_sweep is not None:
-                for g in spec.family_sweep(n):
-                    consume(g)
-            elif sampling:
-                enum_spec = EnumSpec(
-                    n, spec.chain, Sample(per_order[idx], seed + n, density)
-                )
-                enumerate_graphs(enum_spec, consume, workers=workers)
-            else:
-                for g in next(sweep):
+    if claimed:
+        for n in orders:
+            for g in spec.family_sweep(n):
+                consume(g)
+    elif sampling:
+        for n, share in zip(orders, _split_count(count, len(orders))):
+            enumerate_graphs(EnumSpec(n, spec.chain, Sample(share, seed + n, density)), consume)
+    else:
+        with closing(exhaustive_orders(spec.chain, n_min, n_max, workers)) as sweep:
+            for graphs in sweep:
+                for g in graphs:
                     consume(g)
 
     exceptions.sort()
@@ -795,8 +778,9 @@ def hunt(
     spec = _checked_spec(theorem, n, cmp_tol, top)
     if spec.margin is None:
         raise InfeasibleRange(f"{theorem} has no numeric hypothesis to hunt against")
+    if spec.family_sweep is not None:
+        raise InfeasibleRange(f"{theorem} sweeps a constructed family only")
     t0 = time.perf_counter()
-    ctx = _Context(cmp_tol, lambda g: None)
     checked = 0
     counterexamples: list[tuple[str, str]] = []
     misses: list[tuple[float, str]] = []
@@ -805,7 +789,7 @@ def hunt(
         nonlocal checked
         checked += 1
         verdict, margin = _judge(spec, g, cmp_tol)
-        concl = spec.conclusion(g, ctx)
+        concl = spec.conclusion(g)
         if concl is True:
             return
         if verdict == NO:

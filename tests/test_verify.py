@@ -25,6 +25,7 @@ from clawtrace.graph import disjoint_union, from_edges, join, relabel
 from clawtrace.hamilton import has_hamilton_path
 from clawtrace.enumeration import exhaustive_list, sample_dense_claw_free
 from clawtrace.spectral import (
+    DEFAULT_CMP_TOL,
     EPS,
     SpectralEstimate,
     ThresholdVerdict,
@@ -34,6 +35,8 @@ from clawtrace.spectral import (
 from clawtrace.verify import (
     THEOREM_IDS,
     REGISTRY,
+    _complement_threshold,
+    _exception_label,
     _is_pendant_family,
     _judge,
     decide_traceable,
@@ -55,6 +58,7 @@ def test_registry_is_complete():
     assert len(THEOREM_IDS) == 17
     assert tuple(REGISTRY) == THEOREM_IDS
     assert "MainMuG" in REGISTRY and "Hong" in REGISTRY
+    assert all(isinstance(spec.chain, tuple) for spec in REGISTRY.values())
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +122,18 @@ def test_pendant_family_test_agrees_with_canonical_matching():
         target = canonical_form(nn33(n))
         for g in exhaustive_list(n, ()):
             assert _is_pendant_family(g) == (canonical_form(g) == target), g
+
+
+def test_only_declared_families_match_above_canonical_range():
+    # canonical matching at n = 12 and the structural test at n = 20 must
+    # label N_{n-3,3} alike for every theorem: a theorem that does not
+    # declare the family leaves it Unmatched at both orders
+    for spec in REGISTRY.values():
+        small = _exception_label(nn33(12), spec)
+        assert _exception_label(nn33(20), spec) == small.replace("(12)", "(20)"), spec.id
+    assert _exception_label(nn33(20), REGISTRY["MainMuG"]) == "Nn33(20)"
+    for theorem in ("NingGe", "FiedlerNikiforov1", "LuLiuTian", "Dirac", "BrousekOrder9"):
+        assert _exception_label(nn33(20), REGISTRY[theorem]) == "Unmatched", theorem
 
 
 def test_pendant_family_test_beyond_canonical_range():
@@ -222,6 +238,23 @@ def test_constructed_family_sweep():
     assert wide.exceptions == tuple((s, "Unmatched") for s in wide.borderline)
 
 
+def test_verify_reaches_decide_traceable_through_the_module(corpus, monkeypatch):
+    # perfbench's tracer wraps the module attribute; a registry holding the
+    # function itself would bypass the wrapper and read zero calls
+    verify_module = importlib.import_module("clawtrace.verify")
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return decide_traceable(g)
+
+    monkeypatch.setattr(verify_module, "decide_traceable", counting)
+    verify("MainMuG", 6, 6)
+    spec = REGISTRY["MainMuG"]
+    expected = sum(_judge(spec, g, DEFAULT_CMP_TOL)[0] != "no" for g in corpus(6))
+    assert expected > 0 and len(calls) == expected
+
+
 def test_sampled_modes():
     r = verify("MainComplement", 24, 25, mode="sample", count=10, seed=5)
     assert r.passed and r.mode == "Sampled" and r.checked == 10 and r.seed == 5
@@ -236,11 +269,17 @@ def test_sampled_mode_deterministic():
 
 
 def test_workers_do_not_change_reports():
-    a = verify("MainMuG", 6, 7, workers=1)
-    b = verify("MainMuG", 6, 7, workers=2)
-    assert a.exceptions == b.exceptions
-    assert a.borderline == b.borderline
-    assert a.checked == b.checked
+    runs = (
+        (("MainMuG", 6, 7), {}),
+        (("MainComplement", 24, 25), {"mode": "sample", "count": 6, "seed": 5}),
+        (("HamiltonianFamily", 9, 12), {}),
+    )
+    for args, kwargs in runs:
+        a = verify(*args, workers=1, **kwargs).to_dict()
+        b = verify(*args, workers=2, **kwargs).to_dict()
+        a.pop("elapsed_ms")
+        b.pop("elapsed_ms")
+        assert a == b, args
 
 
 def test_cmp_tol_widens_borderline():
@@ -327,6 +366,8 @@ def test_hunt_rejects_margin_free_theorems():
         hunt("NoSuch", n=8, seed=1, count=5)
     with pytest.raises(InfeasibleRange):
         hunt("MainMuG", n=1, seed=1, count=5)
+    with pytest.raises(InfeasibleRange, match="constructed family"):
+        hunt("HamiltonianFamily", n=12, seed=1, count=5)
 
 
 def test_hunt_rejects_out_of_range_numbers():
@@ -441,7 +482,14 @@ STATEMENTS = {
                        "float"),
     "Dirac": ("2delta", ">=", lambda n: n - 1, "exact"),
     "MatthewsSumner": ("3delta", ">=", lambda n: n - 2, "exact"),
+    # a claim of the constructed family rather than a hypothesis
+    "HamiltonianFamily": ("mu", ">=", lambda n: n - 7, "float"),
 }
+
+
+def test_complement_threshold_is_the_closed_form():
+    for n in range(6, 65):
+        assert _complement_threshold(n) == pytest.approx(_pendant_complement_mu(n), abs=1e-12), n
 
 
 def _quantities(g) -> dict:
