@@ -2,10 +2,14 @@
 
 Individualization-refinement search: an equitable partition is refined from a
 degree/triangle invariant, then the first non-singleton cell is split on each
-candidate vertex in turn.  Leaves of the search tree are complete labellings;
-the canonical form is the lexicographically smallest upper-triangle encoding
-over all leaves.  Branch-and-bound on the already-determined encoding prefix
-plus three exact prunings keep the tree small:
+candidate vertex in turn.  Each refinement round counts neighbours only into
+the cells that split in the round before (both halves of the split cell after
+an individualisation), which gives the same cells in the same order as
+recounting against every cell.  Leaves of the search tree are complete
+labellings; the canonical form is the lexicographically smallest
+upper-triangle encoding over all leaves.  Branch-and-bound on the
+already-determined encoding prefix plus three exact prunings keep the tree
+small:
 
 * only candidates whose adjacency row against the fixed prefix is minimal can
   start a minimal completion (the row becomes the next encoding column),
@@ -19,9 +23,10 @@ Exponential in the worst case, which the n <= 16 cap makes acceptable.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import OrderTooLargeForCanonical
-from .graph import Graph, bits, popcount, relabel
+from .graph import Graph, bits, relabel
 
 MAX_CANONICAL = 16
 
@@ -44,32 +49,50 @@ def _initial_cells(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(groups[key]) for key in sorted(groups))
 
 
-def _refine(g: Graph, cells: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Equitable refinement; cell order is an isomorphism invariant."""
-    while True:
-        masks = [0] * len(cells)
-        for ci, cell in enumerate(cells):
-            for v in cell:
-                masks[ci] |= 1 << v
+def _refine(
+    g: Graph, cells: tuple[tuple[int, ...], ...], fresh: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Equitable refinement; cell order is an isomorphism invariant.
+
+    Each round splits every cell by its vertices' neighbour counts into the
+    fresh cells, taken in cell order, and puts the parts in ascending order
+    of those counts; the parts of the cells it split are the next round's
+    fresh cells, and a round that splits nothing ends.  The caller names the
+    fresh cells of its input: every cell of the initial partition, and
+    cells k and k + 1 after a vertex of cell k of an equitable partition is
+    individualised into cell k.
+
+    This gives the same cells, in the same order, as recounting every
+    vertex against every cell on every round; by induction both rules pass
+    through the same partitions.  A cell Y that is not fresh was already a
+    cell of the partition the last round split (in the first round after
+    an individualisation, of the equitable partition before it).  Either
+    way the vertices of each current cell agree on their count into Y: the
+    full rule's last round split its cells by that count, and an equitable
+    partition's cells already agree on it.  Those positions of the full
+    signature are therefore constant within each cell, so they neither
+    split a cell nor reorder its parts under the lexicographic sort."""
+    adj = g.adj
+    while fresh:
+        targets = [sum(1 << v for v in cells[i]) for i in fresh]
         new_cells: list[tuple[int, ...]] = []
-        changed = False
+        fresh = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            sig = {}
+            parts: dict[tuple[int, ...], list[int]] = {}
             for v in cell:
-                sig[v] = tuple(popcount(g.adj[v] & cm) for cm in masks)
-            parts: dict[tuple, list[int]] = {}
-            for v in cell:
-                parts.setdefault(sig[v], []).append(v)
-            if len(parts) > 1:
-                changed = True
+                row = adj[v]
+                parts.setdefault(tuple((row & t).bit_count() for t in targets), []).append(v)
+            if len(parts) == 1:
+                new_cells.append(cell)
+                continue
             for key in sorted(parts):
+                fresh.append(len(new_cells))
                 new_cells.append(tuple(parts[key]))
         cells = tuple(new_cells)
-        if not changed:
-            return cells
+    return cells
 
 
 def _column(g: Graph, v: int, prefix_vertices: list[int]) -> int:
@@ -157,13 +180,14 @@ def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 continue
             rest = tuple(u for u in cell if u != v)
             child = cells[:k] + ((v,), rest) + cells[k + 1:]
-            refined = _refine(g, child)
+            refined = _refine(g, child, (k, k + 1))
             if refined in seen:
                 continue
             seen.add(refined)
             visit(refined, prefix + [c])
 
-    visit(_refine(g, _initial_cells(g)), [])
+    initial = _initial_cells(g)
+    visit(_refine(g, initial, range(len(initial))), [])
     assert best_enc is not None and best_cells is not None
     labels = [0] * n
     for pos, cell in enumerate(best_cells):

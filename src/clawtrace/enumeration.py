@@ -6,10 +6,12 @@ attaching one new vertex to each parent of order k, and a child is kept only
 when deleting its canonically chosen removable vertex gives back exactly that
 parent.  Each isomorphism class therefore appears once, produced from one
 parent class, and hereditary predicates (claw-free, net-free, and the
-extended-net filter) prune the tree at every level.  An attachment mask that
-repeats an earlier one up to twins of the parent is skipped, a (degree,
-triangle) key, read off tables of the parent, rejects most children before
-any canonical search, and each remaining child is labelled once.
+extended-net filter) prune the tree at every level.  One pass over bitsets
+of all 2^n attachment masks of a parent drops each mask that repeats an
+earlier one up to twins of the parent or that would close a claw, a
+(degree, triangle) key, read off tables of the parent, rejects most of the
+remaining children before any canonical search, and each child left is
+labelled once.
 Non-hereditary predicates (closed, two-connected) only gate emission.  One
 sweep builds every level once and yields the classes of each requested
 order in turn.
@@ -111,46 +113,47 @@ def _attach(parent: Graph, mask: int) -> Graph:
     return Graph(n=parent.n + 1, adj=tuple(rows), m=parent.m + popcount(mask))
 
 
-def _claw_free_extension_ok(p: Graph, attach_mask: int) -> bool:
-    """For a claw-free parent, decide whether adding a vertex adjacent to
-    attach_mask keeps the child claw-free.  Any new claw must involve the
-    new vertex: either as center (independent triple inside the mask) or as
-    a leaf (some u in the mask with two nonadjacent old neighbors outside
-    the mask)."""
-    verts = list(bits(attach_mask))
-    for i, a in enumerate(verts):
-        na = p.adj[a]
-        for b in verts[i + 1 :]:
-            if na >> b & 1:
-                continue
-            if attach_mask & ~na & ~p.adj[b] & ~(1 << a | 1 << b):
-                return False
-    for u in verts:
-        outside = p.adj[u] & ~attach_mask
-        for a in bits(outside):
-            if outside & ~p.adj[a] & ~(1 << a):
-                return False
-    return True
+def _viable_masks(parent: Graph, chain: tuple[str, ...]) -> int:
+    """The attachment masks worth a child, as a set of 2^n bits: bit `mask`
+    is set when the mask survives.  col[v], the set of masks that contain
+    v, is a run of 2^v ones every 2^(v+1) bits, starting at bit 2^v; each
+    screen below drops one boolean combination of columns, so the whole
+    screen is a few big-integer operations per parent instead of a test per
+    mask.  A connected sweep drops the empty mask.
 
+    Twins: a mask that leaves out an earlier twin u of a vertex v it takes
+    is dropped.  Swapping two twins u < v of the parent is an automorphism
+    of it, so the children of mask and of mask with v traded for u are
+    isomorphic by a map that fixes the new vertex.  Every filter, the
+    removal rule and the `seen` dedup are isomorphism-invariant, so the two
+    children are kept or dropped alike, and at most the first can be kept.
+    Repeating the trade reaches the mask that takes the lowest members of
+    each twin class, which is the smallest mask of its orbit and so the one
+    reached first.
 
-def _twin_skip(parent: Graph) -> Callable[[int], bool]:
-    """skip(mask) is true when the mask leaves out an earlier twin of a
-    vertex it takes, that is, when it does not take the lowest-numbered
-    members of some twin class of the parent.
-
-    Swapping two twins u < v of the parent is an automorphism of it, so the
-    children of mask and of mask with v traded for u are isomorphic by a map
-    that fixes the new vertex.  Every filter, the removal rule and the
-    `seen` dedup are isomorphism-invariant, so the two children are kept or
-    dropped alike, and at most the first can be kept.  Repeating the trade
-    reaches the mask that takes the lowest members of each class, which is
-    the smallest mask of its orbit and so the one reached first."""
-    links = [(1 << v, twins) for v, twins in enumerate(earlier_twins(parent)) if twins]
-
-    def skip(mask: int) -> bool:
-        return any(mask & bit and twins & ~mask for bit, twins in links)
-
-    return skip
+    Claws (every parent of a claw-free sweep is claw-free): any claw of the child uses the new
+    vertex, as the centre of an independent triple inside the mask or as a
+    leaf of a claw centred at some u in the mask whose other two leaves are
+    nonadjacent neighbours of u outside it."""
+    n = parent.n
+    adj = parent.adj
+    full = (1 << (1 << n)) - 1
+    col = [
+        full // ((1 << (2 << v)) - 1) * (((1 << (1 << v)) - 1) << (1 << v))
+        for v in range(n)
+    ]
+    dropped = 1 if "connected" in chain else 0
+    for v, twins in enumerate(earlier_twins(parent)):
+        for u in bits(twins):
+            dropped |= col[v] & ~col[u]
+    if "claw-free" in chain:
+        for a in range(n):
+            for b in bits(~adj[a] & parent.vertex_mask & ~((2 << a) - 1)):
+                for c in bits(~(adj[a] | adj[b]) & parent.vertex_mask & ~((2 << b) - 1)):
+                    dropped |= col[a] & col[b] & col[c]
+                for u in bits(adj[a] & adj[b]):
+                    dropped |= col[u] & ~(col[a] | col[b])
+    return full & ~dropped
 
 
 def _rule_filter(parent: Graph, connected: bool) -> Callable[[int], list[int]]:
@@ -201,23 +204,16 @@ def _expand_parent(parent: Graph, chain: tuple[str, ...]) -> list[Graph]:
 
     A child is kept when deleting its removal-rule vertex gives back a graph
     isomorphic to the parent, and it is not isomorphic to a sibling already
-    kept.  Masks that repeat an earlier one up to twins of the parent are
-    skipped, and each surviving child is labelled once; the labelling gives
-    both the rule vertex and the child's canonical form.
+    kept.  Only the masks of _viable_masks are attached, in ascending order,
+    and each child that passes the key filter is labelled once; the
+    labelling gives both the rule vertex and the child's canonical form.
     """
     connected = "connected" in chain
-    claw = "claw-free" in chain
-    lo = 1 if connected else 0
     parent_form = canonical_form(parent)
-    skip = _twin_skip(parent)
     rule_candidates = _rule_filter(parent, connected)
     seen: set[str] = set()
     out: list[Graph] = []
-    for mask in range(lo, 1 << parent.n):
-        if skip(mask):
-            continue
-        if claw and not _claw_free_extension_ok(parent, mask):
-            continue
+    for mask in bits(_viable_masks(parent, chain)):
         child = _attach(parent, mask)
         if "net-free" in chain and find_induced(child, _NET) is not None:
             continue

@@ -79,3 +79,10 @@ SAMPLER_GRID_SHA256 = "b0b6b79e3fc8a6e2f2790013acfe17281bd68c1f820b515b889cc4a74
 # signed margin (commit d55c687).  Pins hunt near-miss margins, borderline
 # lists and exception labels across every numeric theorem.
 FROZEN_REPORTS_SHA256 = "ed1f2dc896de1271bfe885b0d95cbf9820e2ccade92d06fa37a045fe82b4a54f"
+
+# regression-only: sha256 of json.dumps of [canonical_labeling(g) for g in
+# test_canon.labeling_corpus()], taken from the package's labeller before
+# refinement counted only against the cells that just split (commit
+# cf3aa1b).  Pins the labels themselves, which the removal rule reads and
+# every printed canonical form is built from.
+CANONICAL_LABELING_SHA256 = "8bf1ac18cd0423392654f4bbf65101b551083fc28a7b939c94c579ab32764c79"

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import time
 
 import networkx as nx
@@ -11,11 +13,13 @@ from clawtrace.canon import (
     canonical_form,
     canonical_labeling,
 )
+from clawtrace.enumeration import exhaustive_list
 from clawtrace.errors import OrderTooLargeForCanonical
 from clawtrace.families import complete, edgeless, star
 from clawtrace.graph import disjoint_union, from_edges, join, relabel
 from clawtrace.graph6 import decode
 
+import frozen
 from oracles import brute_force_isomorphic, random_graph
 
 
@@ -105,15 +109,15 @@ def _nx(g):
     return h
 
 
-@pytest.mark.parametrize(
-    "g",
-    [
-        pytest.param(edgeless(MAX_CANONICAL), id="empty"),
-        pytest.param(star(MAX_CANONICAL), id="star"),
-        pytest.param(join(edgeless(8), edgeless(8)), id="K8,8"),
-        pytest.param(disjoint_union(complete(8), complete(8)), id="2K8"),
-    ],
-)
+TWIN_HEAVY = [
+    pytest.param(edgeless(MAX_CANONICAL), id="empty"),
+    pytest.param(star(MAX_CANONICAL), id="star"),
+    pytest.param(join(edgeless(8), edgeless(8)), id="K8,8"),
+    pytest.param(disjoint_union(complete(8), complete(8)), id="2K8"),
+]
+
+
+@pytest.mark.parametrize("g", TWIN_HEAVY)
 def test_twin_heavy_graphs_at_the_order_cap(g):
     # every vertex has a twin, so a search without twin pruning visits a
     # factorial number of leaves; with it each labelling takes milliseconds,
@@ -125,3 +129,22 @@ def test_twin_heavy_graphs_at_the_order_cap(g):
     assert time.perf_counter() - start < 2.0
     (form,) = forms
     assert nx.is_isomorphic(_nx(decode(form)), _nx(g))
+
+
+def labeling_corpus():
+    """The connected claw-free classes of order <= 8, 300 seeded random
+    graphs at n = 2..16 of random density, and the twin-heavy graphs."""
+    corpus = [g for n in range(1, 9) for g in exhaustive_list(n)]
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        n = int(rng.integers(2, MAX_CANONICAL + 1))
+        corpus.append(random_graph(rng, n, rng.random()))
+    return corpus + [param.values[0] for param in TWIN_HEAVY]
+
+
+def test_canonical_labels_are_frozen():
+    # the labels themselves, not just the forms: reports print canonical
+    # forms, and the enumerator picks its removal-rule vertex by label
+    labels = [canonical_labeling(g) for g in labeling_corpus()]
+    digest = hashlib.sha256(json.dumps(labels).encode()).hexdigest()
+    assert digest == frozen.CANONICAL_LABELING_SHA256

@@ -5,20 +5,20 @@ networkx serves as the independent oracle for isomorphism, cut vertices
 and the components under a vertex mask; the removal rule is written out
 here from canonical_labeling and canonical_form, not taken from the
 enumerator.  The claw test is checked against the brute-force triple scan,
-the path closure against an all-pairs fixpoint loop, and the cascade
-against the exact Hamilton path solver.
+the path closure against an all-pairs fixpoint loop, the partition
+refinement against a recount of every vertex against every cell, and the
+cascade against the exact Hamilton path solver.
 """
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clawtrace.canon import canonical_form, canonical_labeling
+from clawtrace.canon import _initial_cells, _refine, canonical_form, canonical_labeling
 from clawtrace.enumeration import (
     _attach,
-    _claw_free_extension_ok,
     _rule_filter,
-    _twin_skip,
+    _viable_masks,
     exhaustive_list,
     sample_dense_claw_free,
 )
@@ -39,21 +39,11 @@ from clawtrace.verify import _path_closure, decide_traceable
 
 from oracles import claw_free_brute, graphs, graphs_with_twins, path_closure_brute
 
-CLAW_FREE = [g for n in range(1, 8) for g in exhaustive_list(n, ("claw-free",))]
-
-
 def _nx(g: Graph) -> nx.Graph:
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
     return h
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(CLAW_FREE), st.data())
-def test_claw_free_extension_matches_full_check(parent, data):
-    mask = data.draw(st.integers(0, (1 << parent.n) - 1))
-    assert _claw_free_extension_ok(parent, mask) == is_claw_free(_attach(parent, mask))
 
 
 def _full_rule_vertex(child: Graph, connected: bool) -> int:
@@ -74,9 +64,9 @@ def test_key_filter_rejects_only_what_the_full_rule_rejects(chain):
         for parent in exhaustive_list(n, chain):
             rule_candidates = _rule_filter(parent, connected)
             for mask in range(1 if connected else 0, 1 << n):
-                if "claw-free" in chain and not _claw_free_extension_ok(parent, mask):
-                    continue
                 child = _attach(parent, mask)
+                if "claw-free" in chain and not is_claw_free(child):
+                    continue
                 rule = _full_rule_vertex(child, connected)
                 candidates = rule_candidates(mask)
                 if candidates:
@@ -109,22 +99,38 @@ def _marked(g: Graph) -> nx.Graph:
 
 
 @pytest.mark.parametrize("chain", CHAINS)
-def test_twin_skip_drops_only_repeats_of_its_prefix_representative(chain):
+def test_viable_masks_are_the_claw_free_prefix_representatives(chain):
+    # the claw oracle is the full claw test of the child, the twin oracle
+    # the mask moved onto the lowest members of each twin class
+    for n in range(1, 7):
+        for parent in exhaustive_list(n, chain):
+            viable = _viable_masks(parent, chain)
+            for mask in range(1 << n):
+                want = (
+                    (mask != 0 or "connected" not in chain)
+                    and mask == _prefix_representative(parent, mask)
+                    and ("claw-free" not in chain or is_claw_free(_attach(parent, mask)))
+                )
+                assert viable >> mask & 1 == want
+
+
+@pytest.mark.parametrize("chain", CHAINS)
+def test_viable_masks_drop_only_repeats_of_their_prefix_representative(chain):
     same_vertex = nx.algorithms.isomorphism.categorical_node_match("new", False)
     skipped = 0
     for n in range(1, 7):
         for parent in exhaustive_list(n, chain):
-            skip = _twin_skip(parent)
+            viable = _viable_masks(parent, chain)
             for mask in range(1 << n):
                 rep = _prefix_representative(parent, mask)
-                assert skip(mask) == (mask != rep)
                 if mask == rep:
                     continue
+                assert not viable >> mask & 1
                 skipped += 1
                 child, kept = _attach(parent, mask), _attach(parent, rep)
                 assert canonical_form(child) == canonical_form(kept)
                 # an isomorphism that fixes the new vertex, as the argument
-                # for the skip needs
+                # for the twin screen needs
                 assert nx.is_isomorphic(_marked(child), _marked(kept), node_match=same_vertex)
     assert skipped > 0
 
@@ -144,6 +150,38 @@ def test_canonical_form_agrees_with_networkx(g, rnd):
     u, v = sorted(rnd.sample(range(g.n), 2))
     other = from_edges(g.n, set(same.edges()) ^ {(u, v)})
     assert (canonical_form(other) == canonical_form(g)) == nx.is_isomorphic(_nx(g), _nx(other))
+
+
+def _refine_recounting_every_cell(g: Graph, cells: tuple) -> tuple:
+    """The refinement rule written out in full: each round recounts every
+    vertex against every cell and splits each cell by those counts, parts
+    in ascending order of counts, until a round splits nothing."""
+    while True:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        split = []
+        for cell in cells:
+            parts: dict[tuple, list[int]] = {}
+            for v in cell:
+                counts = tuple(bin(g.adj[v] & m).count("1") for m in masks)
+                parts.setdefault(counts, []).append(v)
+            split.extend(tuple(parts[key]) for key in sorted(parts))
+        if len(split) == len(cells):
+            return cells
+        cells = tuple(split)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(graphs(min_n=2), graphs_with_twins(max_n=12)))
+def test_refinement_against_fresh_cells_matches_recounting_every_cell(g):
+    initial = _initial_cells(g)
+    cells = _refine_recounting_every_cell(g, initial)
+    assert _refine(g, initial, range(len(initial))) == cells
+    # every individualisation of one vertex of the refined partition, the
+    # first level of the search tree among them
+    for k, cell in enumerate(cells):
+        for v in cell if len(cell) > 1 else ():
+            child = cells[:k] + ((v,), tuple(u for u in cell if u != v)) + cells[k + 1:]
+            assert _refine(g, child, (k, k + 1)) == _refine_recounting_every_cell(g, child)
 
 
 @st.composite
