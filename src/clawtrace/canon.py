@@ -3,13 +3,13 @@
 Individualization-refinement search: an equitable partition is refined from a
 degree/triangle invariant, then the first non-singleton cell is split on each
 candidate vertex in turn.  Each refinement round counts neighbours only into
-the cells that split in the round before (both halves of the split cell after
-an individualisation), which gives the same cells in the same order as
-recounting against every cell.  Leaves of the search tree are complete
-labellings; the canonical form is the lexicographically smallest
-upper-triangle encoding over all leaves.  Branch-and-bound on the
-already-determined encoding prefix plus three exact prunings keep the tree
-small:
+the cells that split in the round before, leaving out the last part of each
+split cell (after an individualisation, only the new singleton), which gives
+the same cells in the same order as recounting against every cell.  Leaves
+of the search tree are complete labellings; the canonical form is the
+lexicographically smallest upper-triangle encoding over all leaves.
+Branch-and-bound on the already-determined encoding prefix plus three exact
+prunings keep the tree small:
 
 * only candidates whose adjacency row against the fixed prefix is minimal can
   start a minimal completion (the row becomes the next encoding column),
@@ -36,10 +36,15 @@ def vertex_keys(g: Graph) -> list[tuple[int, int]]:
     partition sorts by this key and the search only ever splits cells in
     place, so canonical labels increase with it."""
     adj = g.adj
-    return [
-        (row.bit_count(), sum((row & adj[u]).bit_count() for u in bits(row)) // 2)
-        for row in adj
-    ]
+    # each edge uw adds its common neighbours to both ends, so a triangle
+    # through v is counted once for each of its two edges at v
+    twice = [0] * g.n
+    for u, row in enumerate(adj):
+        for w in bits(row >> (u + 1) << (u + 1)):
+            common = (row & adj[w]).bit_count()
+            twice[u] += common
+            twice[w] += common
+    return [(row.bit_count(), t // 2) for row, t in zip(adj, twice)]
 
 
 def _initial_cells(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -56,22 +61,28 @@ def _refine(
 
     Each round splits every cell by its vertices' neighbour counts into the
     fresh cells, taken in cell order, and puts the parts in ascending order
-    of those counts; the parts of the cells it split are the next round's
-    fresh cells, and a round that splits nothing ends.  The caller names the
-    fresh cells of its input: every cell of the initial partition, and
-    cells k and k + 1 after a vertex of cell k of an equitable partition is
-    individualised into cell k.
+    of those counts; the parts of the cells it split, except the last part
+    of each, are the next round's fresh cells, and a round that splits
+    nothing ends.  The caller names the fresh cells of its input: every
+    cell of the initial partition, and cell k after a vertex of cell k of
+    an equitable partition is individualised into cell k (the rest of the
+    old cell, cell k + 1, is that split's last part).
 
     This gives the same cells, in the same order, as recounting every
     vertex against every cell on every round; by induction both rules pass
-    through the same partitions.  A cell Y that is not fresh was already a
-    cell of the partition the last round split (in the first round after
-    an individualisation, of the equitable partition before it).  Either
-    way the vertices of each current cell agree on their count into Y: the
-    full rule's last round split its cells by that count, and an equitable
-    partition's cells already agree on it.  Those positions of the full
-    signature are therefore constant within each cell, so they neither
-    split a cell nor reorder its parts under the lexicographic sort."""
+    through the same partitions.  A cell Y that is not fresh is a cell of
+    the partition the last round split (in the first round after an
+    individualisation, of the equitable partition before it), or the last
+    part of a cell X of that partition which the round split.  In the first
+    case the vertices of each current cell agree on their count into Y:
+    the full rule's last round split its cells by that count, and an
+    equitable partition's cells already agree on it.  In the second case
+    the count into Y is the count into X, constant within each cell by the
+    first case, minus the counts into X's other parts, which are fresh and
+    come before Y in cell order.  Either way that position of the full
+    signature is constant within each cell or follows from earlier
+    positions, so it neither splits a cell nor reorders its parts under
+    the lexicographic sort."""
     adj = g.adj
     while fresh:
         targets = [sum(1 << v for v in cells[i]) for i in fresh]
@@ -88,9 +99,9 @@ def _refine(
             if len(parts) == 1:
                 new_cells.append(cell)
                 continue
-            for key in sorted(parts):
-                fresh.append(len(new_cells))
-                new_cells.append(tuple(parts[key]))
+            keys = sorted(parts)
+            fresh.extend(range(len(new_cells), len(new_cells) + len(keys) - 1))
+            new_cells.extend(tuple(parts[key]) for key in keys)
         cells = tuple(new_cells)
     return cells
 
@@ -110,11 +121,17 @@ def earlier_twins(g: Graph) -> list[int]:
     equivalence, since no vertex has both kinds of twin: if N(u) = N(v) and
     N[u] = N[w], then w ~ u, so w ~ v, so v lies in N[w] = N[u] and v ~ u,
     a contradiction."""
-    adj = g.adj
-    return [
-        sum(1 << u for u in range(v) if adj[u] & ~(1 << v) == row & ~(1 << u))
-        for v, row in enumerate(adj)
-    ]
+    # nonadjacent twins share their row, adjacent ones their row plus self
+    by_open: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    out = []
+    for v, row in enumerate(g.adj):
+        closed = row | 1 << v
+        same_open, same_closed = by_open.get(row, 0), by_closed.get(closed, 0)
+        out.append(same_open | same_closed)
+        by_open[row] = same_open | 1 << v
+        by_closed[closed] = same_closed | 1 << v
+    return out
 
 
 def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -180,7 +197,7 @@ def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 continue
             rest = tuple(u for u in cell if u != v)
             child = cells[:k] + ((v,), rest) + cells[k + 1:]
-            refined = _refine(g, child, (k, k + 1))
+            refined = _refine(g, child, (k,))
             if refined in seen:
                 continue
             seen.add(refined)

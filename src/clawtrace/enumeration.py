@@ -11,7 +11,10 @@ of all 2^n attachment masks of a parent drops each mask that repeats an
 earlier one up to twins of the parent or that would close a claw, a
 (degree, triangle) key, read off tables of the parent, rejects most of the
 remaining children before any canonical search, and each child left is
-labelled once.
+labelled once.  A kept child travels to the next level as a Graph together
+with its canonical adjacency rows, which dedup its siblings and, when the
+child is expanded, stand for the parent in the removal-rule check, so no
+parent is labelled twice; graph6 is written and read only for checkpoints.
 Non-hereditary predicates (closed, two-connected) only gate emission.  One
 sweep builds every level once and yields the classes of each requested
 order in turn.
@@ -35,7 +38,7 @@ from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
-from .canon import canonical_form, canonical_labeling, earlier_twins, vertex_keys
+from .canon import canonical_labeling, earlier_twins, vertex_keys
 from .errors import InfeasibleSpec, InvalidParams, TargetUnreachable
 from .families import graph_m, net
 from .graph import (
@@ -61,6 +64,10 @@ KNOWN_FILTERS = HEREDITARY_FILTERS + EMISSION_FILTERS + ("connected",)
 
 _NET = net()
 _M = graph_m()
+
+# a graph of the sweep and its canonical adjacency rows (None once read
+# back from a checkpoint)
+Node = tuple[Graph, tuple[int, ...] | None]
 
 
 @dataclass(frozen=True)
@@ -199,20 +206,27 @@ def _rule_filter(parent: Graph, connected: bool) -> Callable[[int], list[int]]:
     return candidates
 
 
-def _expand_parent(parent: Graph, chain: tuple[str, ...]) -> list[Graph]:
-    """All accepted children of one parent, deterministically ordered.
+def _expand_parent(
+    parent: Graph, parent_rows: tuple[int, ...], chain: tuple[str, ...]
+) -> list[Node]:
+    """All accepted children of one parent, deterministically ordered, each
+    with its canonical adjacency rows; parent_rows are the parent's.
 
     A child is kept when deleting its removal-rule vertex gives back a graph
     isomorphic to the parent, and it is not isomorphic to a sibling already
     kept.  Only the masks of _viable_masks are attached, in ascending order,
     and each child that passes the key filter is labelled once; the
-    labelling gives both the rule vertex and the child's canonical form.
+    labelling gives both the rule vertex and the child's canonical rows,
+    which dedup the siblings and become parent_rows when the child is
+    expanded in turn, so no parent is labelled again.  child - rule is
+    labelled only when its sorted degree sequence equals the parent's: an
+    isomorphism invariant, so the check stays exact.
     """
     connected = "connected" in chain
-    parent_form = canonical_form(parent)
+    degrees = sorted(parent.degrees())
     rule_candidates = _rule_filter(parent, connected)
-    seen: set[str] = set()
-    out: list[Graph] = []
+    seen: set[tuple[int, ...]] = set()
+    out: list[Node] = []
     for mask in bits(_viable_masks(parent, chain)):
         child = _attach(parent, mask)
         if "net-free" in chain and find_induced(child, _NET) is not None:
@@ -225,20 +239,21 @@ def _expand_parent(parent: Graph, chain: tuple[str, ...]) -> list[Graph]:
         labels = canonical_labeling(child)[1]
         rule = max(candidates, key=labels.__getitem__)
         if rule != parent.n:
-            kept = child.vertex_mask & ~(1 << rule)
-            if canonical_form(induced(child, kept)) != parent_form:
+            rest = induced(child, child.vertex_mask & ~(1 << rule))
+            if sorted(rest.degrees()) != degrees:
                 continue
-        cf = graph6.encode(relabel(child, labels))
-        if cf in seen:
+            if relabel(rest, canonical_labeling(rest)[1]).adj != parent_rows:
+                continue
+        rows = relabel(child, labels).adj
+        if rows in seen:
             continue
-        seen.add(cf)
-        out.append(child)
+        seen.add(rows)
+        out.append((child, rows))
     return out
 
 
-def _expand_task(args: tuple[str, tuple[str, ...]]) -> list[str]:
-    parent_g6, chain = args
-    return [graph6.encode(c) for c in _expand_parent(graph6.decode(parent_g6), chain)]
+def _expand_task(args: tuple[Graph, tuple[int, ...], tuple[str, ...]]) -> list[Node]:
+    return _expand_parent(*args)
 
 
 def _emission_ok(g: Graph, chain: tuple[str, ...]) -> bool:
@@ -290,26 +305,30 @@ def _open_checkpoint(
 
 
 def _expand_level(
-    parents: list[Graph],
+    parents: list[Node],
     chain: tuple[str, ...],
-    imap: Callable[..., Iterator[list[str]]],
+    imap: Callable[..., Iterator[list[Node]]],
     done: dict[str, list[str]],
     ck: TextIO | None,
-) -> list[Graph]:
-    """One augmentation level.  Parents in `done` (read from a checkpoint)
-    are not expanded again; with a checkpoint file `ck`, each newly finished
-    parent is appended as one line: its graph6, its children's graph6 and
-    their count."""
-    parent_lines = [graph6.encode(p) for p in parents]
-    todo = [line for line in parent_lines if line not in done]
-    results: dict[str, list[str]] = dict(done)
-    for line, kids in zip(todo, imap(_expand_task, [(line, chain) for line in todo])):
-        results[line] = kids
+) -> list[Node]:
+    """One augmentation level: the children of each parent in turn.  With a
+    checkpoint file `ck`, parents whose graph6 is in `done` are read back
+    instead of expanded, and each newly finished parent is appended as one
+    line: its graph6, its children's graph6 and their count.  A child read
+    back carries no rows; the checkpointed level is the last one, so it is
+    never expanded."""
+    names = [graph6.encode(p) for p, _ in parents] if ck else [None] * len(parents)
+    tasks = [(*node, chain) for node, name in zip(parents, names) if name not in done]
+    expanded = imap(_expand_task, tasks)
+    merged: list[Node] = []
+    for name in names:
+        if name in done:
+            merged.extend((graph6.decode(k), None) for k in done[name])
+            continue
+        kids = next(expanded)
         if ck:
-            print(line, *kids, len(kids), file=ck, flush=True)
-    merged: list[Graph] = []
-    for line in parent_lines:
-        merged.extend(graph6.decode(k) for k in results[line])
+            print(name, *(graph6.encode(c) for c, _ in kids), len(kids), file=ck, flush=True)
+        merged.extend(kids)
     return merged
 
 
@@ -326,7 +345,8 @@ def exhaustive_orders(
     the last (most expensive) level only."""
     with ExitStack() as stack:
         imap = stack.enter_context(Pool(workers)).imap if workers > 1 else map
-        frontier = [from_edges(1, ())]
+        k1 = from_edges(1, ())
+        frontier: list[Node] = [(k1, k1.adj)]  # K1 is its own canonical form
         for order in range(1, n_max + 1):
             if order > 1:
                 done, ck = {}, None
@@ -335,7 +355,7 @@ def exhaustive_orders(
                     stack.enter_context(ck)
                 frontier = _expand_level(frontier, chain, imap, done, ck)
             if order >= n_min:
-                yield [g for g in frontier if _emission_ok(g, chain)]
+                yield [g for g, _ in frontier if _emission_ok(g, chain)]
 
 
 def enumerate_graphs(

@@ -273,10 +273,10 @@ def relabel(g: Graph, perm) -> Graph:
     """Apply vertex permutation: new label of old vertex v is perm[v]."""
     perm = [int(p) for p in perm]  # numpy ints would poison the bit rows
     rows = [0] * g.n
-    for v in range(g.n):
-        row = 0
-        for u in bits(g.adj[v]):
-            row |= 1 << perm[u]
-        rows[perm[v]] = row
-    return _from_rows(g.n, rows)
+    for v, row in enumerate(g.adj):
+        out = 0
+        for u in bits(row):
+            out |= 1 << perm[u]
+        rows[perm[v]] = out
+    return Graph(n=g.n, adj=tuple(rows), m=g.m)
 

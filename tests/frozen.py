@@ -86,3 +86,9 @@ FROZEN_REPORTS_SHA256 = "ed1f2dc896de1271bfe885b0d95cbf9820e2ccade92d06fa37a045f
 # cf3aa1b).  Pins the labels themselves, which the removal rule reads and
 # every printed canonical form is built from.
 CANONICAL_LABELING_SHA256 = "8bf1ac18cd0423392654f4bbf65101b551083fc28a7b939c94c579ab32764c79"
+
+# regression-only: sha256 of the checkpoint file that
+# exhaustive_list(8, checkpoint=path) writes, header and one line per
+# parent of order 7, taken from the package's enumerator before the sweep
+# kept its levels in memory (commit fe70ad8).  Pins the format v2 bytes.
+CHECKPOINT_8_SHA256 = "e6679c0e995535dfa64fb6eafe7a0c5adbf962da110b4cb61501041f88c9bef8"

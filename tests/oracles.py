@@ -132,6 +132,33 @@ def claw_free_brute(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the canonical search's vertex invariants, as canon first defined them
+
+
+def earlier_twins_pairwise(g: Graph) -> list[int]:
+    """For each vertex v, the mask of the u < v with N(u) - v = N(v) - u,
+    found by comparing every pair."""
+    adj = g.adj
+    return [
+        sum(1 << u for u in range(v) if adj[u] & ~(1 << v) == row & ~(1 << u))
+        for v, row in enumerate(adj)
+    ]
+
+
+def vertex_keys_per_neighbour(g: Graph) -> list[tuple[int, int]]:
+    """(degree, triangles through v): half the common neighbours of v and
+    each of its neighbours."""
+    adj = g.adj
+    return [
+        (
+            bin(row).count("1"),
+            sum(bin(row & adj[u]).count("1") for u in range(g.n) if row >> u & 1) // 2,
+        )
+        for row in adj
+    ]
+
+
+# ---------------------------------------------------------------------------
 # labeled-filter enumeration oracle
 
 

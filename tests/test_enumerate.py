@@ -3,13 +3,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from clawtrace.canon import canonical_form
+from clawtrace.canon import canonical_form, canonical_labeling
 from clawtrace.enumeration import (
     MAX_EXHAUSTIVE,
     MAX_SAMPLE,
     EnumSpec,
     Exhaustive,
     Sample,
+    _expand_level,
     enumerate_graphs,
     exhaustive_list,
     exhaustive_orders,
@@ -17,7 +18,7 @@ from clawtrace.enumeration import (
 )
 from clawtrace.errors import InfeasibleSpec, InvalidParams, TargetUnreachable
 from clawtrace.families import graph_m, net
-from clawtrace.graph import is_connected, is_two_connected
+from clawtrace.graph import from_edges, is_connected, is_two_connected, relabel
 from clawtrace.graph6 import encode
 from clawtrace.structure import find_induced, is_claw_free, is_closed
 
@@ -95,6 +96,42 @@ def test_checkpoint_resume(tmp_path):
     # a completed checkpoint replays without changing the answer
     replay = [encode(g) for g in exhaustive_list(7, checkpoint=str(ck))]
     assert replay == base
+
+
+def test_checkpoint_file_is_frozen(tmp_path):
+    # regression-only: the checkpoint keeps its format v2 bytes
+    ck = tmp_path / "level.ck"
+    exhaustive_list(8, checkpoint=str(ck))
+    assert hashlib.sha256(ck.read_bytes()).hexdigest() == frozen.CHECKPOINT_8_SHA256
+
+
+def test_checkpoint_resume_with_workers_matches_a_serial_run(tmp_path):
+    serial_ck = tmp_path / "serial.ck"
+    base = [encode(g) for g in exhaustive_list(7, checkpoint=str(serial_ck))]
+    ck = tmp_path / "level.ck"
+    lines = serial_ck.read_text().splitlines()
+    ck.write_text("\n".join(lines[: len(lines) // 3]) + "\n")
+    resumed = [encode(g) for g in exhaustive_list(7, workers=2, checkpoint=str(ck))]
+    assert resumed == base
+    assert ck.read_bytes() == serial_ck.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "column, chain", [(2, ("connected", "claw-free")), (1, ("connected",)), (0, ())]
+)
+def test_carried_rows_are_the_canonical_rows(column, chain):
+    # each level hands its children on with the canonical rows their own
+    # labelling gave; recompute them from scratch on every frontier, which
+    # holds each class once
+    counts = {n: row[column] for n, row in frozen.COUNTS.items()}
+    counts[8] = frozen.CONNECTED_CLAW_FREE_8
+    k1 = from_edges(1, ())
+    frontier = [(k1, k1.adj)]
+    for n in range(2, 9 if "claw-free" in chain else 8):
+        frontier = _expand_level(frontier, chain, map, {}, None)
+        assert len({rows for _, rows in frontier}) == len(frontier) == counts[n]
+        for g, rows in frontier:
+            assert rows == relabel(g, canonical_labeling(g)[1]).adj
 
 
 def test_checkpoint_from_another_run_is_rejected(tmp_path):

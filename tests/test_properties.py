@@ -6,15 +6,23 @@ and the components under a vertex mask; the removal rule is written out
 here from canonical_labeling and canonical_form, not taken from the
 enumerator.  The claw test is checked against the brute-force triple scan,
 the path closure against an all-pairs fixpoint loop, the partition
-refinement against a recount of every vertex against every cell, and the
-cascade against the exact Hamilton path solver.
+refinement against a recount of every vertex against every cell, the twin
+masks and vertex keys against their pairwise definitions, and the cascade
+against the exact Hamilton path solver.
 """
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clawtrace.canon import _initial_cells, _refine, canonical_form, canonical_labeling
+from clawtrace.canon import (
+    _initial_cells,
+    _refine,
+    canonical_form,
+    canonical_labeling,
+    earlier_twins,
+    vertex_keys,
+)
 from clawtrace.enumeration import (
     _attach,
     _rule_filter,
@@ -37,7 +45,14 @@ from clawtrace.hamilton import has_hamilton_path
 from clawtrace.structure import is_claw_free
 from clawtrace.verify import _path_closure, decide_traceable
 
-from oracles import claw_free_brute, graphs, graphs_with_twins, path_closure_brute
+from oracles import (
+    claw_free_brute,
+    earlier_twins_pairwise,
+    graphs,
+    graphs_with_twins,
+    path_closure_brute,
+    vertex_keys_per_neighbour,
+)
 
 def _nx(g: Graph) -> nx.Graph:
     h = nx.Graph()
@@ -181,7 +196,18 @@ def test_refinement_against_fresh_cells_matches_recounting_every_cell(g):
     for k, cell in enumerate(cells):
         for v in cell if len(cell) > 1 else ():
             child = cells[:k] + ((v,), tuple(u for u in cell if u != v)) + cells[k + 1:]
-            assert _refine(g, child, (k, k + 1)) == _refine_recounting_every_cell(g, child)
+            want = _refine_recounting_every_cell(g, child)
+            # the search names only the singleton; the rest of the old
+            # cell, the split's last part, may be named too
+            assert _refine(g, child, (k,)) == want
+            assert _refine(g, child, (k, k + 1)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(graphs(), graphs_with_twins(max_n=12)))
+def test_vertex_invariants_match_their_pairwise_definitions(g):
+    assert earlier_twins(g) == earlier_twins_pairwise(g)
+    assert vertex_keys(g) == vertex_keys_per_neighbour(g)
 
 
 @st.composite
