@@ -6,25 +6,19 @@ traceability exactly, and checks a registry of threshold statements against
 those corpora, reporting every exception graph it meets along the way.
 """
 
-from .canon import are_isomorphic, canonical_form, canonical_labeling
+from .canon import canonical_form, canonical_labeling
 from .enumeration import (
     EnumSpec,
     Exhaustive,
     Sample,
     enumerate_graphs,
-    exhaustive_list,
     sample_dense_claw_free,
 )
 from .families import BROUSEK_BASES, FamilySpec, make
 from .graph import Graph, complement, from_edges, is_connected, join
 from .graph6 import decode, encode
-from .hamilton import (
-    find_hamilton_path,
-    has_hamilton_cycle,
-    has_hamilton_path,
-)
+from .hamilton import has_hamilton_cycle, has_hamilton_path
 from .spectral import (
-    compare_threshold,
     complete_split_radius,
     hofmeister_bound,
     hong_bound,
@@ -53,19 +47,15 @@ __all__ = [
     "Sample",
     "THEOREM_IDS",
     "VerificationReport",
-    "are_isomorphic",
     "canonical_form",
     "canonical_labeling",
     "closure",
-    "compare_threshold",
     "complement",
     "complete_split_radius",
     "decide_traceable",
     "decode",
     "encode",
     "enumerate_graphs",
-    "exhaustive_list",
-    "find_hamilton_path",
     "find_induced",
     "from_edges",
     "has_hamilton_cycle",

@@ -27,6 +27,7 @@ from typing import Sequence
 
 from .errors import OrderTooLargeForCanonical
 from .graph import Graph, bits, relabel
+from .graph6 import encode
 
 MAX_CANONICAL = 16
 
@@ -215,15 +216,5 @@ def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
 @lru_cache(maxsize=1 << 16)
 def canonical_form(g: Graph) -> str:
     """graph6 string of the canonically relabelled graph."""
-    from .graph6 import encode
-
     _, labels = canonical_labeling(g)
     return encode(relabel(g, labels))
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.m != h.m:
-        return False
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return False
-    return canonical_form(g) == canonical_form(h)

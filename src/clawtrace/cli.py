@@ -25,7 +25,6 @@ from .graph import (
     complement,
     components,
     is_block_chain,
-    popcount,
 )
 from .hamilton import MAX_EXACT, has_hamilton_cycle, has_hamilton_path
 from .spectral import DEFAULT_CMP_TOL, hofmeister_bound, hong_bound, spectral_radius
@@ -111,7 +110,7 @@ def _analyze_one(g: Graph) -> dict:
     if connected:
         dec = block_decomposition(g)
         info["blocks"] = len(dec.blocks)
-        info["cut_vertices"] = popcount(dec.cut_vertices)
+        info["cut_vertices"] = dec.cut_vertices.bit_count()
         info["block_chain"] = is_block_chain(g)
     else:
         info["blocks"] = None

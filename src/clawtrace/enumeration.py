@@ -49,7 +49,6 @@ from .graph import (
     is_connected,
     is_two_connected,
     mask_components,
-    popcount,
     relabel,
 )
 from . import graph6
@@ -117,7 +116,7 @@ def _attach(parent: Graph, mask: int) -> Graph:
     for v in bits(mask):
         rows[v] |= new_bit
     rows.append(mask)
-    return Graph(n=parent.n + 1, adj=tuple(rows), m=parent.m + popcount(mask))
+    return Graph(n=parent.n + 1, adj=tuple(rows), m=parent.m + mask.bit_count())
 
 
 def _viable_masks(parent: Graph, chain: tuple[str, ...]) -> int:
@@ -446,7 +445,6 @@ def sample_dense_claw_free(n: int, target_m: int, seed: int) -> Graph:
             raise TargetUnreachable(
                 f"no deletable edge at m={m} (target {target_m})",
                 graph=stuck,
-                achieved_m=m,
             )
     return Graph(n, tuple(rows), m)
 
@@ -489,16 +487,3 @@ def _run_sample(spec: EnumSpec, consumer: Callable[[Graph], None]) -> int:
         consumer(g)
         emitted += 1
     return emitted
-
-
-def exhaustive_list(
-    n: int,
-    predicate_chain: tuple[str, ...] = ("connected", "claw-free"),
-    workers: int = 1,
-    checkpoint: str | None = None,
-) -> list[Graph]:
-    out: list[Graph] = []
-    enumerate_graphs(
-        EnumSpec(n, predicate_chain), out.append, workers=workers, checkpoint=checkpoint
-    )
-    return out

@@ -53,10 +53,9 @@ class TargetUnreachable(ClawtraceError):
     """Dense sampler could not delete down to target_m without creating a claw
     or disconnecting.  Carries the best graph reached so callers can still use it."""
 
-    def __init__(self, message, graph=None, achieved_m=None):
+    def __init__(self, message, graph=None):
         super().__init__(message)
         self.graph = graph
-        self.achieved_m = achieved_m
 
 
 class InfeasibleSpec(ClawtraceError):

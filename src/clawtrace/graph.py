@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     DisconnectedInput,
+    EmptySet,
     LoopEdge,
     OrderOutOfRange,
     VertexOutOfRange,
@@ -29,10 +30,6 @@ def bits(mask: VertexSet):
         mask ^= low
 
 
-def popcount(mask: VertexSet) -> int:
-    return mask.bit_count()
-
-
 @dataclass(frozen=True)
 class Graph:
     n: int
@@ -44,10 +41,10 @@ class Graph:
         return (1 << self.n) - 1
 
     def degree(self, v: int) -> int:
-        return popcount(self.adj[v])
+        return self.adj[v].bit_count()
 
     def degrees(self) -> list[int]:
-        return [popcount(row) for row in self.adj]
+        return [row.bit_count() for row in self.adj]
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -59,12 +56,12 @@ class Graph:
                 yield (u, v)
 
     def min_degree(self) -> int:
-        return min(popcount(row) for row in self.adj)
+        return min(row.bit_count() for row in self.adj)
 
 
 def _from_rows(n: int, rows) -> Graph:
     rows = tuple(rows)
-    m = sum(popcount(r) for r in rows) // 2
+    m = sum(r.bit_count() for r in rows) // 2
     return Graph(n=n, adj=rows, m=m)
 
 
@@ -112,8 +109,6 @@ def induced(g: Graph, subset: VertexSet) -> Graph:
     """Induced subgraph on the vertices of `subset`, relabelled in mask order."""
     verts = list(bits(subset & g.vertex_mask))
     if not verts:
-        from .errors import EmptySet
-
         raise EmptySet("induced subgraph on empty vertex set")
     pos = {v: i for i, v in enumerate(verts)}
     rows = []
@@ -219,7 +214,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
 
     end_blocks = 0
     if len(blocks) > 1:
-        end_blocks = sum(1 for b in blocks if popcount(b & cut) == 1)
+        end_blocks = sum(1 for b in blocks if (b & cut).bit_count() == 1)
     return BlockDecomposition(
         blocks=tuple(blocks), cut_vertices=cut, end_block_count=end_blocks
     )
@@ -279,4 +274,3 @@ def relabel(g: Graph, perm) -> Graph:
             out |= 1 << perm[u]
         rows[perm[v]] = out
     return Graph(n=g.n, adj=tuple(rows), m=g.m)
-

@@ -1,4 +1,4 @@
-"""Exact Hamilton path and cycle decision with witness extraction.
+"""Exact Hamilton path and cycle decision.
 
 The core is a subset dynamic program over the paths that start at vertex 0,
 run over true-twin classes instead of vertices.  Vertices 1..n-1 with equal
@@ -24,14 +24,13 @@ on that graph, with the apex as vertex 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import OrderTooLargeForExact
-from .graph import Graph, bits, is_connected
+from .graph import Graph, is_connected
 
 MAX_EXACT = 24
 # live states per step of _run_dp; a step's temporaries take at most about
@@ -192,38 +191,3 @@ def has_hamilton_cycle(g: Graph) -> bool:
         return False
     lay = _layout(g)
     return bool(_run_dp(g)[lay.full] & lay.nbrs[0])
-
-
-@dataclass(frozen=True)
-class HamiltonWitness:
-    kind: str  # "Path" or "Cycle"
-    order: tuple[int, ...]
-
-
-def find_hamilton_path(g: Graph) -> HamiltonWitness | None:
-    """A concrete spanning path, or None.
-
-    The class sequence is rebuilt backwards from the DP table itself: from
-    a state with live endpoint class c, the predecessor state has one
-    member of c fewer and some live endpoint class adjacent to c, which
-    exists by construction.  Each class then hands out its members in
-    ascending order.
-    """
-    _check_order(g)
-    if not is_connected(g):
-        return None
-    h = _with_apex(g)
-    lay = _layout(h)
-    dp = _run_dp(h)
-    state = lay.full
-    ends = int(dp[state])
-    if ends == 0:
-        return None
-    walk = []
-    while state:  # state 0 is the path {apex}
-        c = next(bits(ends))
-        walk.append(c)
-        state -= 1 << lay.offsets[c - 1]
-        ends = int(dp[state]) & lay.nbrs[c]
-    pools = [bits(m >> 1) for m in lay.members]  # back to the labels of g
-    return HamiltonWitness("Path", tuple(next(pools[c]) for c in reversed(walk)))

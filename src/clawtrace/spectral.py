@@ -72,25 +72,3 @@ def triple_split_radius(n: int) -> float:
     if n < 4:
         raise InvalidParams(f"needs n >= 4, got {n}")
     return 1 + math.sqrt(3 * n - 8)
-
-
-class ThresholdVerdict:
-    ABOVE = "Above"
-    BELOW = "Below"
-    BORDERLINE = "Borderline"
-
-
-def compare_threshold(
-    est: SpectralEstimate, threshold: float, cmp_tol: float = DEFAULT_CMP_TOL
-) -> str:
-    """Classify est.value against threshold: Above when the margin exceeds
-    cmp_tol plus the estimate's own error bound est.residual, Below when it
-    falls short by more than that, Borderline in between.  Borderline is a
-    real outcome, never folded into the others."""
-    margin = est.value - threshold
-    slack = cmp_tol + est.residual
-    if margin > slack:
-        return ThresholdVerdict.ABOVE
-    if margin < -slack:
-        return ThresholdVerdict.BELOW
-    return ThresholdVerdict.BORDERLINE

@@ -19,7 +19,6 @@ from .graph import (
     from_edges,
     mask_connected,
     mask_is_clique,
-    popcount,
 )
 
 MAX_PATTERN = 10
@@ -35,7 +34,7 @@ def _pattern_order(p: Graph) -> list[int]:
             v for v in range(p.n) if not placed >> v & 1 and p.adj[v] & placed
         ]
         pool = frontier or [v for v in range(p.n) if not placed >> v & 1]
-        nxt = max(pool, key=lambda v: (popcount(p.adj[v] & placed), p.degree(v)))
+        nxt = max(pool, key=lambda v: ((p.adj[v] & placed).bit_count(), p.degree(v)))
         order.append(nxt)
         placed |= 1 << nxt
     return order

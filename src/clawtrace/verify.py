@@ -58,14 +58,10 @@ from .graph import (
     is_connected,
     is_two_connected,
     mask_components,
-    popcount,
 )
 from .hamilton import MAX_EXACT, has_hamilton_cycle, has_hamilton_path
 from .spectral import (
     DEFAULT_CMP_TOL,
-    SpectralEstimate,
-    ThresholdVerdict,
-    compare_threshold,
     hofmeister_bound,
     hong_bound,
     spectral_radius,
@@ -101,7 +97,7 @@ def _path_closure(g: Graph) -> Graph:
     # the (n-1)-closure is unique whatever order its edges are added in
     # (Bondy-Chvatal), so walking only the non-edges u < v of each pass,
     # with the degrees kept current, still returns the same graph
-    degs = [popcount(r) for r in rows]
+    degs = [r.bit_count() for r in rows]
     changed = True
     while changed:
         changed = False
@@ -113,7 +109,7 @@ def _path_closure(g: Graph) -> Graph:
                     degs[u] += 1
                     degs[v] += 1
                     changed = True
-    return Graph(n, tuple(rows), sum(popcount(r) for r in rows) // 2)
+    return Graph(n, tuple(rows), sum(r.bit_count() for r in rows) // 2)
 
 
 def _rotation_path(g: Graph) -> Optional[list[int]]:
@@ -259,16 +255,18 @@ BORDER = "borderline"
 
 def _verdict(margin: float, error: Optional[float], cmp_tol: float) -> str:
     """YES, NO or BORDER for a signed hypothesis margin, positive on the
-    hypothesis side.  An exact margin (error None) holds when it is >= 0;
-    a float margin is judged by compare_threshold with its error bound."""
+    hypothesis side.  An exact margin (error None) holds when it is >= 0.
+    A float margin holds when it exceeds slack = cmp_tol + error, fails when
+    it falls short of -slack, and is borderline in between; borderline is a
+    real outcome, never folded into the others."""
     if error is None:
         return YES if margin >= 0 else NO
-    v = compare_threshold(SpectralEstimate(margin, 0, True, error), 0.0, cmp_tol)
-    if v == ThresholdVerdict.ABOVE:
+    slack = cmp_tol + error
+    if margin > slack:
         return YES
-    if v == ThresholdVerdict.BORDERLINE:
-        return BORDER
-    return NO
+    if margin < -slack:
+        return NO
+    return BORDER
 
 
 def _radius_above(g: Graph, threshold: float) -> tuple[float, float]:
@@ -661,7 +659,10 @@ def verify(
 
     Exhaustive mode sweeps every isomorphism class of the theorem's corpus;
     sample mode draws `count` seeded dense graphs split evenly across the
-    orders (per-order seed is seed + n).  Counterexamples never raise; they
+    orders (per-order seed is seed + n).  A draw that gets stuck above the
+    requested density, with no edge left whose deletion keeps the graph
+    connected and claw-free, is checked at the density it reached.
+    Counterexamples never raise; they
     land in the report as Unmatched exceptions.  cmp_tol (finite, >= 0) is
     the threshold comparison slack, to which each comparison adds the
     margin's own error bound; a graph whose margin lies within that slack is

@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import pytest
 
-from clawtrace.enumeration import exhaustive_list
+from oracles import exhaustive_list
 
 
 @lru_cache(maxsize=None)

@@ -68,7 +68,7 @@ ORDER_10_SHA256 = "523435df72b2563fff7a8142b7e99445d460f18fb15856a4095aa7119fbd5
 
 # regression-only: sha256 of the newline-joined lines that
 # test_enumerate._sampler_grid_lines gives (one graph6 per grid point, or
-# "<graph6> stuck <achieved_m>" for a stuck run), taken from the package's
+# "<graph6> stuck <m>", m the edge count it reached, for a stuck run), taken from the package's
 # sampler before it kept its edge list between deletions.  38 of the 100
 # grid points are stuck.
 SAMPLER_GRID_SHA256 = "b0b6b79e3fc8a6e2f2790013acfe17281bd68c1f820b515b889cc4a744cbafa8"

@@ -6,13 +6,17 @@ Hamilton paths and cycles from depth-first search over simple paths,
 induced-subgraph hits from subset enumeration, isomorphism from
 permutation search, the path closure from an all-pairs fixpoint loop, and
 isomorphism-class counts from permutation-orbit marking over all labeled
-graphs.
+graphs, and threshold verdicts from the margin rule written out on its own.
+
+exhaustive_list, at the end, is no oracle: it collects the package's own
+enumerator into a list for the tests that want one.
 """
 import itertools
 
 import numpy as np
 from hypothesis import strategies as st
 
+from clawtrace.enumeration import EnumSpec, enumerate_graphs
 from clawtrace.errors import OrderOutOfRange
 from clawtrace.graph import Graph
 
@@ -73,17 +77,17 @@ def path_closure_brute(g: Graph) -> Graph:
     return from_edges(g.n, edges)
 
 
-def witness_is_valid(g: Graph, w) -> bool:
-    """Is the HamiltonWitness w a spanning path (or cycle) of g?"""
-    seq = w.order
-    if sorted(seq) != list(range(g.n)):
-        return False
-    for a, b in zip(seq, seq[1:]):
-        if not g.has_edge(a, b):
-            return False
-    if w.kind == "Cycle":
-        return g.n >= 3 and g.has_edge(seq[-1], seq[0])
-    return w.kind == "Path"
+def compare_threshold(value: float, threshold: float, cmp_tol: float, error: float) -> str:
+    """"yes" when value clears threshold by more than cmp_tol plus the
+    value's error bound, "no" when it falls short by more than that,
+    "borderline" in between."""
+    margin = value - threshold
+    slack = cmp_tol + error
+    if margin > slack:
+        return "yes"
+    if margin < -slack:
+        return "no"
+    return "borderline"
 
 
 def brute_force_isomorphic(g: Graph, h: Graph, cap: int = 8) -> bool:
@@ -275,3 +279,16 @@ def graphs_with_twins(draw, max_n=9):
     perm = draw(st.permutations(range(len(adj))))
     edges = [(perm[u], perm[v]) for u in range(len(adj)) for v in adj[u] if u < v]
     return from_edges(len(adj), edges)
+
+
+def exhaustive_list(
+    n: int,
+    predicate_chain: tuple[str, ...] = ("connected", "claw-free"),
+    workers: int = 1,
+    checkpoint: str | None = None,
+) -> list[Graph]:
+    out: list[Graph] = []
+    enumerate_graphs(
+        EnumSpec(n, predicate_chain), out.append, workers=workers, checkpoint=checkpoint
+    )
+    return out

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -346,6 +347,25 @@ def test_only_the_cli_reads_the_environment():
             if "environ" in text or "getenv" in text:
                 readers.append(name)
     assert readers == []
+
+
+def test_library_imports_numpy_and_the_standard_library_only():
+    # networkx and hypothesis are test extras; the package must run without
+    pkg = os.path.dirname(os.path.abspath(clawtrace.__file__))
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    seen = set()
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name)) as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                seen.update((name, a.name.split(".")[0]) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                seen.add((name, node.module.split(".")[0]))
+    assert ("spectral.py", "numpy") in seen
+    assert sorted((name, mod) for name, mod in seen if mod not in allowed) == []
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,8 @@ from clawtrace.families import complete, complete_split, nn33, star
 from clawtrace.graph import bits, disjoint_union, from_edges
 from clawtrace.hamilton import (
     MAX_EXACT,
-    HamiltonWitness,
     _run_dp,
     _with_apex,
-    find_hamilton_path,
     has_hamilton_cycle,
     has_hamilton_path,
 )
@@ -25,7 +23,6 @@ from oracles import (
     hamilton_cycle_brute,
     hamilton_path_brute,
     random_graph,
-    witness_is_valid,
 )
 
 
@@ -80,32 +77,6 @@ def test_matches_permutation_brute_force():
         assert has_hamilton_cycle(g) == hamilton_cycle_brute(g)
 
 
-def test_witness_extraction():
-    rng = np.random.default_rng(89)
-    found = 0
-    for _ in range(200):
-        n = int(rng.integers(2, 12))
-        g = random_graph(rng, n, rng.random())
-        w = find_hamilton_path(g)
-        assert (w is not None) == has_hamilton_path(g)
-        if w is not None:
-            found += 1
-            assert w.kind == "Path"
-            assert witness_is_valid(g, w)
-    assert found > 50
-
-
-def test_witness_validation_rejects_garbage():
-    g = path_graph(4)
-    assert not witness_is_valid(g, HamiltonWitness("Path", (0, 2, 1, 3)))
-    assert not witness_is_valid(g, HamiltonWitness("Path", (0, 1, 2)))
-    assert not witness_is_valid(g, HamiltonWitness("Path", (0, 1, 2, 2)))
-    assert witness_is_valid(g, HamiltonWitness("Path", (0, 1, 2, 3)))
-    c = cycle_graph(5)
-    assert witness_is_valid(c, HamiltonWitness("Cycle", (0, 1, 2, 3, 4)))
-    assert not witness_is_valid(c, HamiltonWitness("Cycle", (0, 2, 1, 3, 4)))
-
-
 def test_order_cap():
     with pytest.raises(OrderTooLargeForExact):
         has_hamilton_path(complete(MAX_EXACT + 1))
@@ -117,22 +88,15 @@ def test_larger_structured_instances():
     assert has_hamilton_cycle(cycle_graph(20))
     assert not has_hamilton_path(nn33(20))
     assert has_hamilton_path(path_graph(22))
-    w = find_hamilton_path(cycle_graph(18))
-    assert w is not None and witness_is_valid(cycle_graph(18), w)
+    assert has_hamilton_path(cycle_graph(18))
     # big twin classes: the table counts members instead of listing them
     assert not has_hamilton_path(nn33(MAX_EXACT))
-    split = complete_split(12, 20)
-    w = find_hamilton_path(split)
-    assert w is not None and witness_is_valid(split, w)
+    assert has_hamilton_path(complete_split(12, 20))
 
 
 def assert_agrees_with_permutation_oracles(g):
     assert has_hamilton_cycle(g) == hamilton_cycle_brute(g)
-    path = hamilton_path_brute(g)
-    assert has_hamilton_path(g) == path
-    w = find_hamilton_path(g)
-    assert (w is not None) == path
-    assert w is None or witness_is_valid(g, w)
+    assert has_hamilton_path(g) == hamilton_path_brute(g)
 
 
 @settings(max_examples=300, deadline=None)

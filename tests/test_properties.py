@@ -27,7 +27,6 @@ from clawtrace.enumeration import (
     _attach,
     _rule_filter,
     _viable_masks,
-    exhaustive_list,
     sample_dense_claw_free,
 )
 from clawtrace.errors import TargetUnreachable
@@ -48,6 +47,7 @@ from clawtrace.verify import _path_closure, decide_traceable
 from oracles import (
     claw_free_brute,
     earlier_twins_pairwise,
+    exhaustive_list,
     graphs,
     graphs_with_twins,
     path_closure_brute,

@@ -16,10 +16,6 @@ from clawtrace.families import (
 )
 from clawtrace.graph import complement, disjoint_union, from_edges
 from clawtrace.spectral import (
-    DEFAULT_CMP_TOL,
-    SpectralEstimate,
-    ThresholdVerdict,
-    compare_threshold,
     complete_split_radius,
     hofmeister_bound,
     hong_bound,
@@ -151,23 +147,3 @@ def test_hong_equality_on_complete_and_star():
     p = path_graph(5)
     assert spectral_radius(p).value < hong_bound(p) - 1e-6
 
-
-def test_compare_threshold_verdicts():
-    est = SpectralEstimate(5.0, 10, True, 0.0)
-    assert compare_threshold(est, 4.0) == ThresholdVerdict.ABOVE
-    assert compare_threshold(est, 6.0) == ThresholdVerdict.BELOW
-    assert compare_threshold(est, 5.0) == ThresholdVerdict.BORDERLINE
-    assert compare_threshold(est, 5.0 - 0.5 * DEFAULT_CMP_TOL) == (
-        ThresholdVerdict.BORDERLINE
-    )
-    assert compare_threshold(est, 4.0, cmp_tol=2.0) == ThresholdVerdict.BORDERLINE
-    # the estimate's own error bound widens the borderline band
-    rough = SpectralEstimate(5.0, 0, True, 0.5)
-    assert compare_threshold(rough, 4.6) == ThresholdVerdict.BORDERLINE
-    assert compare_threshold(rough, 5.4) == ThresholdVerdict.BORDERLINE
-    assert compare_threshold(rough, 4.4) == ThresholdVerdict.ABOVE
-    assert compare_threshold(rough, 5.6) == ThresholdVerdict.BELOW
-    # an estimate whose error bound covers the margin certifies neither side
-    unconverged = SpectralEstimate(5.0, 99, False, 1.0)
-    assert compare_threshold(unconverged, 4.0) == ThresholdVerdict.BORDERLINE
-    assert compare_threshold(unconverged, 6.0) == ThresholdVerdict.BORDERLINE

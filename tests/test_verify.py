@@ -23,22 +23,23 @@ from clawtrace.families import (
 )
 from clawtrace.graph import disjoint_union, from_edges, join, relabel
 from clawtrace.hamilton import has_hamilton_path
-from clawtrace.enumeration import exhaustive_list, sample_dense_claw_free
+from clawtrace.enumeration import sample_dense_claw_free
 from clawtrace.spectral import (
     DEFAULT_CMP_TOL,
     EPS,
-    SpectralEstimate,
-    ThresholdVerdict,
-    compare_threshold,
     spectral_radius,
 )
 from clawtrace.verify import (
+    BORDER,
+    NO,
     THEOREM_IDS,
     REGISTRY,
+    YES,
     _complement_threshold,
     _exception_label,
     _is_pendant_family,
     _judge,
+    _verdict,
     decide_traceable,
     hunt,
     is_spanning_subgraph_of_pendant_family,
@@ -47,7 +48,7 @@ from clawtrace.verify import (
 )
 
 import frozen
-from oracles import adjacency, random_graph
+from oracles import adjacency, compare_threshold, exhaustive_list, random_graph
 
 
 def cycle_graph(n):
@@ -555,19 +556,43 @@ def test_registry_matches_the_statement_table(corpus):
         assert {(theorem, "yes"), (theorem, "no")} <= verdicts, theorem
 
 
+def test_verdict_margins():
+    # slack = cmp_tol + error, and both comparisons are strict
+    assert _verdict(1.0, 0.0, DEFAULT_CMP_TOL) == YES
+    assert _verdict(-1.0, 0.0, DEFAULT_CMP_TOL) == NO
+    assert _verdict(0.0, 0.0, DEFAULT_CMP_TOL) == BORDER
+    assert _verdict(0.5 * DEFAULT_CMP_TOL, 0.0, DEFAULT_CMP_TOL) == BORDER
+    assert _verdict(1.0, 0.0, 2.0) == BORDER
+    assert _verdict(0.75, 0.5, 0.25) == BORDER
+    assert _verdict(-0.75, 0.5, 0.25) == BORDER
+    assert _verdict(float(np.nextafter(0.75, 1.0)), 0.5, 0.25) == YES
+    assert _verdict(float(np.nextafter(-0.75, -1.0)), 0.5, 0.25) == NO
+    # the margin's own error bound widens the borderline band
+    assert _verdict(0.4, 0.5, DEFAULT_CMP_TOL) == BORDER
+    assert _verdict(-0.4, 0.5, DEFAULT_CMP_TOL) == BORDER
+    assert _verdict(0.6, 0.5, DEFAULT_CMP_TOL) == YES
+    assert _verdict(-0.6, 0.5, DEFAULT_CMP_TOL) == NO
+    # an error bound that covers the margin certifies neither side
+    assert _verdict(1.0, 1.0, DEFAULT_CMP_TOL) == BORDER
+    assert _verdict(-1.0, 1.0, DEFAULT_CMP_TOL) == BORDER
+    # an exact margin (error None) holds at 0 and ignores cmp_tol
+    assert _verdict(0, None, DEFAULT_CMP_TOL) == YES
+    assert _verdict(0, None, 2.0) == YES
+    assert _verdict(1, None, 2.0) == YES
+    assert _verdict(-1, None, 0.0) == NO
+
+
 def test_edge_lemma_prime_verdicts_match_compare_threshold():
     # the registry judges m - C(n,2) + t^2 > tol; the reference compares m
     # with C(n,2) - t^2, which can differ in the last ulp
     spec = REGISTRY["EdgeLemmaPrime"]
-    to_verdict = {ThresholdVerdict.ABOVE: "yes", ThresholdVerdict.BELOW: "no",
-                  ThresholdVerdict.BORDERLINE: "borderline"}
     cases = 0
     for n in range(24, 31):
         threshold = math.comb(n, 2) - (1 + math.sqrt(3 * n - 8)) ** 2
         for m in range(math.comb(n, 2) + 1):
             g = SimpleNamespace(n=n, m=m)  # the margin reads n and m only
             for tol in (0.0, 1e-9, 1e-6, 0.5, 1.0, 3.0):
-                ref = compare_threshold(SpectralEstimate(float(m), 0, True, 0.0), threshold, tol)
-                assert _judge(spec, g, tol)[0] == to_verdict[ref], (n, m, tol)
+                ref = compare_threshold(float(m), threshold, tol, 0.0)
+                assert _judge(spec, g, tol)[0] == ref, (n, m, tol)
                 cases += 1
     assert cases == 14_868
