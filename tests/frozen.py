@@ -73,6 +73,18 @@ ORDER_10_SHA256 = "523435df72b2563fff7a8142b7e99445d460f18fb15856a4095aa7119fbd5
 # grid points are stuck.
 SAMPLER_GRID_SHA256 = "b0b6b79e3fc8a6e2f2790013acfe17281bd68c1f820b515b889cc4a744cbafa8"
 
+# regression-only: sha256 of the stdout of `clawtrace enumerate` with each
+# argument list, taken from the package's sampled source before it became a
+# plain function (commit c63c23a).  The first makes 22 draws, 12 refused by
+# the chain and 8 stuck, so it pins the seed + attempts walk.
+SAMPLE_STREAM_SHA256 = {
+    ("--n", "12", "--mode", "sample", "--count", "10", "--seed", "4", "--density", "0.3",
+     "--predicates", "connected", "claw-free", "two-connected"):
+        "616afd04aa85f93b83c340598d821308588d22653d7aca5986117939945cee5b",
+    ("--n", "30", "--mode", "sample", "--count", "20", "--seed", "5", "--density", "0.3"):
+        "a0c2ccd7cdb940e8c99eec9663ddd42b54406e8813cc36af03a4c2a75764e135",
+}
+
 # regression-only: sha256 of json.dumps of the list of to_dict() reports,
 # elapsed_ms removed, that test_verify.FROZEN_RUNS produces, taken from the
 # package's verifier before the registry declared each hypothesis once as a

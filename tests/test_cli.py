@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import io
 import json
 import os
@@ -173,6 +174,44 @@ def test_enumerate_sample_refuses_checkpoint(capsys, tmp_path):
     out, err = capsys.readouterr()
     assert out == "" and "exhaustive mode only" in err
     assert not ck.exists()
+
+
+@pytest.mark.parametrize("argv", sorted(frozen.SAMPLE_STREAM_SHA256))
+def test_enumerate_sample_stream_is_frozen(argv, capsys):
+    # regression-only: the graphs, and their order, of a sampled stream
+    assert cli.run(["enumerate", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == frozen.SAMPLE_STREAM_SHA256[argv]
+
+
+REFUSED = [
+    ["enumerate", "--n", "10", "--checkpoint", "F"],
+    ["enumerate", "--n", "0", "--checkpoint", "F"],
+    ["enumerate", "--n", "31", "--mode", "sample", "--count", "1", "--seed", "0"],
+    ["enumerate", "--n", "12", "--mode", "sample", "--count", "1", "--seed", "0",
+     "--density", "1.5"],
+    ["enumerate", "--n", "12", "--mode", "sample", "--count", "-1", "--seed", "0"],
+    ["enumerate", "--n", "6", "--predicates", "bogus", "--checkpoint", "F"],
+    ["enumerate", "--n", "6", "--predicates", "connected", "closed", "--checkpoint", "F"],
+    ["enumerate", "--n", "12", "--mode", "sample"],
+    ["enumerate", "--n", "12", "--mode", "sample", "--count", "3", "--seed", "1",
+     "--checkpoint", "F"],
+    ["verify", "main-mu", "--n-min", "6", "--n-max", "10"],
+    ["verify", "main-complement", "--mode", "sample", "--n-min", "24", "--n-max", "31",
+     "--count", "3", "--seed", "1"],
+    ["hunt", "--theorem", "main-mu", "--n", "31", "--seed", "1", "--count", "1"],
+    ["hunt", "--theorem", "main-mu", "--n", "8", "--seed", "1", "--count", "1",
+     "--density", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
+def test_refused_request_exits_2_and_writes_nothing(argv, capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("CMP_TOL", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
