@@ -7,13 +7,7 @@ those corpora, reporting every exception graph it meets along the way.
 """
 
 from .canon import canonical_form, canonical_labeling
-from .enumeration import (
-    EnumSpec,
-    Exhaustive,
-    Sample,
-    enumerate_graphs,
-    sample_dense_claw_free,
-)
+from .enumeration import exhaustive_orders, sample_dense_claw_free
 from .families import BROUSEK_BASES, FamilySpec, make
 from .graph import Graph, complement, from_edges, is_connected, join
 from .graph6 import decode, encode
@@ -39,12 +33,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BROUSEK_BASES",
-    "EnumSpec",
-    "Exhaustive",
     "FamilySpec",
     "Graph",
     "HuntReport",
-    "Sample",
     "THEOREM_IDS",
     "VerificationReport",
     "canonical_form",
@@ -55,7 +46,7 @@ __all__ = [
     "decide_traceable",
     "decode",
     "encode",
-    "enumerate_graphs",
+    "exhaustive_orders",
     "find_induced",
     "from_edges",
     "has_hamilton_cycle",

@@ -15,7 +15,7 @@ import sys
 from typing import Iterator, Sequence
 
 from . import graph6
-from .enumeration import EnumSpec, Exhaustive, Sample, enumerate_graphs
+from .enumeration import _run_sample, exhaustive_orders
 from .errors import ClawtraceError
 from .families import FamilySpec, make
 from .families import graph_l, graph_m, net
@@ -205,13 +205,7 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.mode == "sample":
-        if args.count is None or args.seed is None:
-            raise ClawtraceError("sample mode needs --count and --seed")
-        mode = Sample(args.count, args.seed, args.density)
-    else:
-        mode = Exhaustive()
-    spec = EnumSpec(args.n, tuple(args.predicates), mode)
+    chain = tuple(args.predicates)
 
     def emit(g: Graph) -> None:
         s = graph6.encode(g)
@@ -220,7 +214,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         else:
             print(s)
 
-    enumerate_graphs(spec, emit, workers=args.workers, checkpoint=args.checkpoint)
+    if args.mode == "sample":
+        if args.count is None or args.seed is None:
+            raise ClawtraceError("sample mode needs --count and --seed")
+        if args.checkpoint is not None:
+            raise ClawtraceError("checkpoint applies to exhaustive mode only")
+        _run_sample(args.n, chain, args.count, args.seed, args.density, emit)
+    else:
+        for graphs in exhaustive_orders(chain, args.n, args.n, args.workers, args.checkpoint):
+            for g in graphs:
+                emit(g)
     return 0
 
 
@@ -343,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--density", type=float, default=0.9)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                   help="processes for the exhaustive sweep; sample mode ignores it")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", parents=[common, tolerances],
@@ -355,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--density", type=float, default=0.9)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                   help="processes for the exhaustive sweep; sample mode and "
+                        "constructed families ignore it")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("hunt", parents=[common, tolerances],

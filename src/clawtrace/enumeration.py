@@ -1,10 +1,12 @@
-"""Isomorph-free exhaustive generation at small orders, plus seeded dense
-samplers for larger ones.
+"""The two graph sources: isomorph-free exhaustive generation at small
+orders (exhaustive_orders) and seeded dense samples at larger ones
+(_run_sample).  Each checks its own arguments and raises InfeasibleSpec on a
+request it cannot serve.
 
-Exhaustive mode is canonical augmentation: graphs of order k+1 are built by
-attaching one new vertex to each parent of order k, and a child is kept only
-when deleting its canonically chosen removable vertex gives back exactly that
-parent.  Each isomorphism class therefore appears once, produced from one
+The exhaustive sweep is canonical augmentation: graphs of order k+1 are
+built by attaching one new vertex to each parent of order k, and a child is
+kept only when deleting its canonically chosen removable vertex gives back
+exactly that parent.  Each isomorphism class therefore appears once, produced from one
 parent class, and hereditary predicates (claw-free, net-free, and the
 extended-net filter) prune the tree at every level.  One pass over bitsets
 of all 2^n attachment masks of a parent drops each mask that repeats an
@@ -19,11 +21,13 @@ Non-hereditary predicates (closed, two-connected) only gate emission.  One
 sweep builds every level once and yields the classes of each requested
 order in turn.
 
-Sample mode starts from the complete graph and deletes uniformly chosen
+The sampler starts from the complete graph and deletes uniformly chosen
 edges, rejecting deletions that create an induced claw or disconnect the
 graph, which concentrates samples near the dense regimes the spectral
-verifiers probe.  The sampler works in place: it keeps one lexicographic
-edge list and drops an edge from it only once its deletion is accepted.
+verifiers probe; a draw that runs out of deletable edges above the
+requested density is returned as it stands.  The sampler works in place:
+it keeps one lexicographic edge list and drops an edge from it only once
+its deletion is accepted.
 A deletion is tested locally: a new claw must use the removed pair as two
 of its leaves, so only the common non-neighbours of the pair are scanned
 for its third leaf, few on a dense graph; and the graph stays connected
@@ -32,14 +36,13 @@ iff one endpoint still reaches the other.
 from __future__ import annotations
 
 from contextlib import ExitStack
-from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
 from .canon import canonical_labeling, earlier_twins, vertex_keys
-from .errors import InfeasibleSpec, InvalidParams, TargetUnreachable
+from .errors import InfeasibleSpec, InvalidParams
 from .families import graph_m, net
 from .graph import (
     Graph,
@@ -69,45 +72,12 @@ _M = graph_m()
 Node = tuple[Graph, tuple[int, ...] | None]
 
 
-@dataclass(frozen=True)
-class Exhaustive:
-    pass
-
-
-@dataclass(frozen=True)
-class Sample:
-    count: int
-    seed: int
-    density: float
-
-
-@dataclass(frozen=True)
-class EnumSpec:
-    n: int
-    predicate_chain: tuple[str, ...] = ("connected", "claw-free")
-    mode: Exhaustive | Sample = field(default_factory=Exhaustive)
-
-
-def _validate(spec: EnumSpec) -> None:
-    for name in spec.predicate_chain:
+def _check_chain(chain: tuple[str, ...]) -> None:
+    for name in chain:
         if name not in KNOWN_FILTERS:
             raise InfeasibleSpec(f"unknown predicate {name!r}")
-    if "closed" in spec.predicate_chain and "claw-free" not in spec.predicate_chain:
+    if "closed" in chain and "claw-free" not in chain:
         raise InfeasibleSpec("'closed' filter requires 'claw-free' in the chain")
-    if spec.n < 1:
-        raise InfeasibleSpec(f"order must be positive, got {spec.n}")
-    if isinstance(spec.mode, Exhaustive):
-        if spec.n > MAX_EXHAUSTIVE:
-            raise InfeasibleSpec(
-                f"exhaustive mode capped at n <= {MAX_EXHAUSTIVE}, got {spec.n}"
-            )
-    else:
-        if spec.n > MAX_SAMPLE:
-            raise InfeasibleSpec(f"sample mode capped at n <= {MAX_SAMPLE}, got {spec.n}")
-        if not 0.0 <= spec.mode.density <= 1.0:
-            raise InfeasibleSpec(f"density must lie in [0, 1], got {spec.mode.density}")
-        if spec.mode.count < 0:
-            raise InfeasibleSpec(f"sample count must be >= 0, got {spec.mode.count}")
 
 
 def _attach(parent: Graph, mask: int) -> Graph:
@@ -338,10 +308,18 @@ def exhaustive_orders(
     workers: int = 1,
     checkpoint: str | None = None,
 ) -> Iterator[list[Graph]]:
-    """The emitted classes of each order n_min..n_max in turn, from one
+    """The emitted classes of each order n_min..n_max in turn, one
+    representative per isomorphism class in a deterministic order, from one
     augmentation sweep: every level is built once, however many orders are
     read, and one worker pool serves all levels.  The checkpoint applies to
-    the last (most expensive) level only."""
+    the last (most expensive) level only.  An unknown predicate, 'closed'
+    without 'claw-free', n_min < 1 or n_max > MAX_EXHAUSTIVE raises
+    InfeasibleSpec before any pool starts or checkpoint opens."""
+    _check_chain(chain)
+    if n_min < 1:
+        raise InfeasibleSpec(f"order must be positive, got {n_min}")
+    if n_max > MAX_EXHAUSTIVE:
+        raise InfeasibleSpec(f"exhaustive mode capped at n <= {MAX_EXHAUSTIVE}, got {n_max}")
     with ExitStack() as stack:
         imap = stack.enter_context(Pool(workers)).imap if workers > 1 else map
         k1 = from_edges(1, ())
@@ -357,37 +335,12 @@ def exhaustive_orders(
                 yield [g for g, _ in frontier if _emission_ok(g, chain)]
 
 
-def enumerate_graphs(
-    spec: EnumSpec,
-    consumer: Callable[[Graph], None],
-    workers: int = 1,
-    checkpoint: str | None = None,
-) -> int:
-    """Feed every graph matching spec to consumer; return how many.
-
-    Exhaustive mode emits one representative per isomorphism class in a
-    deterministic order.  Sample mode emits seeded random graphs and may
-    repeat classes.  The checkpoint only applies to the last (most
-    expensive) exhaustive level; sample mode refuses one.
-    """
-    _validate(spec)
-    if isinstance(spec.mode, Sample):
-        if checkpoint is not None:
-            raise InfeasibleSpec("checkpoint applies to exhaustive mode only")
-        return _run_sample(spec, consumer)
-    count = 0
-    for graphs in exhaustive_orders(spec.predicate_chain, spec.n, spec.n, workers, checkpoint):
-        for g in graphs:
-            consumer(g)
-            count += 1
-    return count
-
-
 def sample_dense_claw_free(n: int, target_m: int, seed: int) -> Graph:
     """Delete uniformly chosen edges from K_n down to target_m, rejecting
     any deletion that creates an induced claw or disconnects the graph.
-    Deterministic for a fixed seed.  Raises TargetUnreachable, carrying the
-    stuck graph and its edge count, when no deletable edge remains."""
+    Deterministic for a fixed seed.  When no deletable edge remains, returns
+    the graph reached, which is denser than asked but connected and
+    claw-free."""
     if not 1 <= n <= MAX_SAMPLE:
         raise InvalidParams(f"sampler needs 1 <= n <= {MAX_SAMPLE}, got {n}")
     if target_m > n * (n - 1) // 2 or target_m < 0:
@@ -427,7 +380,6 @@ def sample_dense_claw_free(n: int, target_m: int, seed: int) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     m = len(edges)
     while m > target_m:
-        removed = False
         for idx in rng.permutation(m):
             u, v = edges[idx]
             rows[u] &= ~(1 << v)
@@ -438,14 +390,9 @@ def sample_dense_claw_free(n: int, target_m: int, seed: int) -> Graph:
                 continue
             del edges[idx]
             m -= 1
-            removed = True
             break
-        if not removed:
-            stuck = Graph(n, tuple(rows), m)
-            raise TargetUnreachable(
-                f"no deletable edge at m={m} (target {target_m})",
-                graph=stuck,
-            )
+        else:
+            break  # stuck: no deletion keeps the graph connected and claw-free
     return Graph(n, tuple(rows), m)
 
 
@@ -463,27 +410,36 @@ def _sample_ok(g: Graph, chain: tuple[str, ...]) -> bool:
     return _emission_ok(g, chain)
 
 
-def _run_sample(spec: EnumSpec, consumer: Callable[[Graph], None]) -> int:
-    mode = spec.mode
-    assert isinstance(mode, Sample)
-    total = spec.n * (spec.n - 1) // 2
-    target_m = round(mode.density * total)
+def _run_sample(
+    n: int,
+    chain: tuple[str, ...],
+    count: int,
+    seed: int,
+    density: float,
+    consumer: Callable[[Graph], None],
+) -> int:
+    """Feed `count` seeded samples of order n that pass the chain to
+    consumer; return how many.  Attempt i draws sample_dense_claw_free with
+    seed + i at the given edge density, so classes may repeat."""
+    _check_chain(chain)
+    if not 1 <= n <= MAX_SAMPLE:
+        raise InfeasibleSpec(f"sample mode needs 1 <= n <= {MAX_SAMPLE}, got {n}")
+    if not 0.0 <= density <= 1.0:
+        raise InfeasibleSpec(f"density must lie in [0, 1], got {density}")
+    if count < 0:
+        raise InfeasibleSpec(f"sample count must be >= 0, got {count}")
+    target_m = round(density * (n * (n - 1) // 2))
     emitted = 0
     attempts = 0
-    limit = 200 * max(mode.count, 1)
-    while emitted < mode.count:
+    limit = 200 * max(count, 1)
+    while emitted < count:
         if attempts >= limit:
             raise InfeasibleSpec(
-                f"sampler rejected {attempts} candidates before reaching "
-                f"count={mode.count}"
+                f"sampler rejected {attempts} candidates before reaching count={count}"
             )
-        try:
-            g = sample_dense_claw_free(spec.n, target_m, mode.seed + attempts)
-        except TargetUnreachable as exc:
-            g = exc.graph  # denser than asked but valid; still near the regime
+        g = sample_dense_claw_free(n, target_m, seed + attempts)
         attempts += 1
-        if g is None or not _sample_ok(g, spec.predicate_chain):
-            continue
-        consumer(g)
-        emitted += 1
+        if _sample_ok(g, chain):
+            consumer(g)
+            emitted += 1
     return emitted

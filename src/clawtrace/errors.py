@@ -49,15 +49,6 @@ class InvalidParams(ClawtraceError):
     pass
 
 
-class TargetUnreachable(ClawtraceError):
-    """Dense sampler could not delete down to target_m without creating a claw
-    or disconnecting.  Carries the best graph reached so callers can still use it."""
-
-    def __init__(self, message, graph=None):
-        super().__init__(message)
-        self.graph = graph
-
-
 class InfeasibleSpec(ClawtraceError):
     pass
 

@@ -34,13 +34,7 @@ from typing import Callable, Optional
 
 from . import graph6 as g6
 from .canon import MAX_CANONICAL, canonical_form
-from .enumeration import (
-    MAX_EXHAUSTIVE,
-    EnumSpec,
-    Sample,
-    enumerate_graphs,
-    exhaustive_orders,
-)
+from .enumeration import _run_sample, exhaustive_orders
 from .errors import (
     InfeasibleRange,
     InvalidParams,
@@ -657,12 +651,12 @@ def verify(
 ) -> VerificationReport:
     """Run one theorem verifier over [n_min, n_max].
 
-    Exhaustive mode sweeps every isomorphism class of the theorem's corpus;
-    sample mode draws `count` seeded dense graphs split evenly across the
-    orders (per-order seed is seed + n).  A draw that gets stuck above the
-    requested density, with no edge left whose deletion keeps the graph
-    connected and claw-free, is checked at the density it reached.
-    Counterexamples never raise; they
+    Exhaustive mode sweeps every isomorphism class of the theorem's corpus
+    with `workers` processes; sample mode draws `count` seeded dense graphs
+    split evenly across the orders (per-order seed is seed + n) in this
+    process.  A draw that gets stuck above the requested density, with no
+    edge left whose deletion keeps the graph connected and claw-free, is
+    checked at the density it reached.  Counterexamples never raise; they
     land in the report as Unmatched exceptions.  cmp_tol (finite, >= 0) is
     the threshold comparison slack, to which each comparison adds the
     margin's own error bound; a graph whose margin lies within that slack is
@@ -683,10 +677,6 @@ def verify(
             raise InfeasibleRange("sample mode needs --count and --seed")
         if count < 0:  # before the split, which would name a per-order share
             raise InfeasibleRange(f"sample count must be >= 0, got {count}")
-    elif spec.family_sweep is None and n_max > MAX_EXHAUSTIVE:
-        raise InfeasibleRange(
-            f"exhaustive mode capped at n <= {MAX_EXHAUSTIVE}, got n_max = {n_max}"
-        )
 
     t0 = time.perf_counter()
     checked = 0
@@ -714,7 +704,7 @@ def verify(
                 consume(g)
     elif sampling:
         for n, share in zip(orders, _split_count(count, len(orders))):
-            enumerate_graphs(EnumSpec(n, spec.chain, Sample(share, seed + n, density)), consume)
+            _run_sample(n, spec.chain, share, seed + n, density, consume)
     else:
         with closing(exhaustive_orders(spec.chain, n_min, n_max, workers)) as sweep:
             for graphs in sweep:
@@ -799,7 +789,7 @@ def hunt(
             return
         counterexamples.append((_render(g), _exception_label(g, spec)))
 
-    enumerate_graphs(EnumSpec(n, spec.chain, Sample(count, seed, density)), consume)
+    _run_sample(n, spec.chain, count, seed, density, consume)
     counterexamples = sorted(set(counterexamples))
     # isomorphic relabelings can differ in the last ulp; dedup by graph only
     by_graph: dict[str, float] = {}

@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
-from clawtrace.enumeration import EnumSpec, enumerate_graphs
+from clawtrace.enumeration import exhaustive_orders
 from clawtrace.errors import OrderOutOfRange
 from clawtrace.graph import Graph
 
@@ -287,8 +287,5 @@ def exhaustive_list(
     workers: int = 1,
     checkpoint: str | None = None,
 ) -> list[Graph]:
-    out: list[Graph] = []
-    enumerate_graphs(
-        EnumSpec(n, predicate_chain), out.append, workers=workers, checkpoint=checkpoint
-    )
-    return out
+    sweep = exhaustive_orders(predicate_chain, n, n, workers, checkpoint)
+    return [g for graphs in sweep for g in graphs]

@@ -407,6 +407,27 @@ def test_library_imports_numpy_and_the_standard_library_only():
     assert sorted((name, mod) for name, mod in seen if mod not in allowed) == []
 
 
+def test_every_imported_name_is_used():
+    # no linter runs in CI; the package's __init__.py imports to re-export
+    pkg = os.path.dirname(os.path.abspath(clawtrace.__file__))
+    here = os.path.dirname(os.path.abspath(__file__))
+    paths = [os.path.join(d, name) for d in (pkg, here) for name in sorted(os.listdir(d))
+             if name.endswith(".py") and name != "__init__.py"]
+    unused = []
+    for path in paths:
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(os.path.basename(path), name) for name in sorted(imported - read)]
+    assert unused == []
+
+
 # ---------------------------------------------------------------------------
 # console script
 

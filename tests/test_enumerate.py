@@ -1,21 +1,18 @@
 import hashlib
 
-import numpy as np
 import pytest
 
+from clawtrace import enumeration
 from clawtrace.canon import canonical_form, canonical_labeling
 from clawtrace.enumeration import (
     MAX_EXHAUSTIVE,
     MAX_SAMPLE,
-    EnumSpec,
-    Exhaustive,
-    Sample,
     _expand_level,
-    enumerate_graphs,
+    _run_sample,
     exhaustive_orders,
     sample_dense_claw_free,
 )
-from clawtrace.errors import InfeasibleSpec, InvalidParams, TargetUnreachable
+from clawtrace.errors import InfeasibleSpec, InvalidParams
 from clawtrace.families import graph_m, net
 from clawtrace.graph import from_edges, is_connected, is_two_connected, relabel
 from clawtrace.graph6 import encode
@@ -73,9 +70,10 @@ def test_hereditary_filters_match_post_filtering(corpus):
 
 
 def test_consumer_count_matches_return():
-    seen = []
-    total = enumerate_graphs(EnumSpec(6), seen.append)
-    assert total == len(seen) == frozen.COUNTS[6][2]
+    # one list per requested order, each the classes of that order alone
+    per_order = list(exhaustive_orders(("connected", "claw-free"), 4, 6))
+    assert [len(graphs) for graphs in per_order] == [frozen.COUNTS[n][2] for n in (4, 5, 6)]
+    assert [{g.n for g in graphs} for graphs in per_order] == [{4}, {5}, {6}]
 
 
 def test_workers_preserve_output_order():
@@ -186,10 +184,11 @@ def test_output_order_is_frozen(n, chain):
 
 
 @pytest.mark.slow
-def test_order_ten_sweep_is_frozen():
-    # regression-only: exhaustive_orders reaches one order past the cap
-    # that enumerate_graphs enforces, which stays at 9
+def test_order_ten_sweep_is_frozen(monkeypatch):
+    # regression-only: one order past the cap, which stays at 9; the sweep
+    # reads the cap when it starts, so lifting it here reaches order 10
     assert MAX_EXHAUSTIVE == 9
+    monkeypatch.setattr(enumeration, "MAX_EXHAUSTIVE", 10)
     (graphs,) = exhaustive_orders(("connected", "claw-free"), 10, 10)
     assert len(graphs) == frozen.CONNECTED_CLAW_FREE_10
     seq = "\n".join(encode(g) for g in graphs)
@@ -204,13 +203,16 @@ def test_validation_errors():
     with pytest.raises(InfeasibleSpec):
         exhaustive_list(MAX_EXHAUSTIVE + 1)
     with pytest.raises(InfeasibleSpec):
-        enumerate_graphs(
-            EnumSpec(MAX_SAMPLE + 1, mode=Sample(1, 0, 0.9)), lambda g: None
-        )
+        exhaustive_list(0)
+    chain = ("connected", "claw-free")
     with pytest.raises(InfeasibleSpec):
-        enumerate_graphs(EnumSpec(8, mode=Sample(-1, 0, 0.9)), lambda g: None)
+        _run_sample(MAX_SAMPLE + 1, chain, 1, 0, 0.9, lambda g: None)
     with pytest.raises(InfeasibleSpec):
-        enumerate_graphs(EnumSpec(8, mode=Sample(5, 0, 1.5)), lambda g: None)
+        _run_sample(8, chain, -1, 0, 0.9, lambda g: None)
+    with pytest.raises(InfeasibleSpec):
+        _run_sample(8, chain, 5, 0, 1.5, lambda g: None)
+    with pytest.raises(InfeasibleSpec):
+        _run_sample(8, ("connected", "closed"), 5, 0, 0.9, lambda g: None)
 
 
 def test_sampler_reaches_target_and_stays_feasible():
@@ -229,12 +231,16 @@ def test_sampler_deterministic():
 
 
 def test_sampler_target_unreachable_payload():
-    # below tree size the graph must disconnect first, so it always sticks
-    with pytest.raises(TargetUnreachable) as exc_info:
-        sample_dense_claw_free(10, 5, seed=0)
-    exc = exc_info.value
-    assert exc.graph.m == len(list(exc.graph.edges())) >= 9
-    assert is_connected(exc.graph) and is_claw_free(exc.graph)
+    # below tree size the graph must disconnect first, so it always sticks;
+    # the sampler returns the graph it stopped at, where every deletion
+    # disconnects it or creates a claw
+    g = sample_dense_claw_free(10, 5, seed=0)
+    edges = list(g.edges())
+    assert g.m == len(edges) >= 9
+    assert is_connected(g) and is_claw_free(g)
+    for e in edges:
+        h = from_edges(g.n, [f for f in edges if f != e])
+        assert not (is_connected(h) and is_claw_free(h)), e
 
 
 SAMPLER_GRID = [
@@ -250,10 +256,8 @@ def _sampler_grid_lines():
     # stuck graph's graph6 and the edge count it reached
     for n, density, seed in SAMPLER_GRID:
         target_m = round(density * (n * (n - 1) // 2))
-        try:
-            yield encode(sample_dense_claw_free(n, target_m, seed))
-        except TargetUnreachable as exc:
-            yield f"{encode(exc.graph)} stuck {exc.graph.m}"
+        g = sample_dense_claw_free(n, target_m, seed)
+        yield f"{encode(g)} stuck {g.m}" if g.m > target_m else encode(g)
 
 
 def test_sampler_draws_are_frozen():
@@ -273,10 +277,7 @@ def test_sampler_rejects_bad_arguments():
 
 def test_sample_mode_respects_chain():
     got = []
-    total = enumerate_graphs(
-        EnumSpec(10, ("connected", "claw-free", "two-connected"), Sample(6, 3, 0.5)),
-        got.append,
-    )
+    total = _run_sample(10, ("connected", "claw-free", "two-connected"), 6, 3, 0.5, got.append)
     assert total == len(got) == 6
     for g in got:
         assert g.n == 10 and is_claw_free(g) and is_two_connected(g)
@@ -285,7 +286,7 @@ def test_sample_mode_respects_chain():
 def test_sample_mode_deterministic_stream():
     def run():
         acc = []
-        enumerate_graphs(EnumSpec(12, mode=Sample(8, 77, 0.7)), acc.append)
+        _run_sample(12, ("connected", "claw-free"), 8, 77, 0.7, acc.append)
         return [encode(g) for g in acc]
 
     assert run() == run()

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from clawtrace.canon import canonical_form

@@ -29,7 +29,6 @@ from clawtrace.enumeration import (
     _viable_masks,
     sample_dense_claw_free,
 )
-from clawtrace.errors import TargetUnreachable
 from clawtrace.graph import (
     Graph,
     components,
@@ -217,10 +216,7 @@ def sampled_claw_free(draw, min_n=1, max_n=12):
     n = draw(st.integers(min_n, max_n))
     target_m = draw(st.integers(0, n * (n - 1) // 2))
     seed = draw(st.integers(0, 2**32 - 1))
-    try:
-        return sample_dense_claw_free(n, target_m, seed)
-    except TargetUnreachable as exc:
-        return exc.graph
+    return sample_dense_claw_free(n, target_m, seed)
 
 
 @settings(max_examples=300, deadline=None)

@@ -14,7 +14,7 @@ from clawtrace.families import (
     nn33,
     star,
 )
-from clawtrace.graph import complement, disjoint_union, from_edges
+from clawtrace.graph import disjoint_union, from_edges
 from clawtrace.spectral import (
     complete_split_radius,
     hofmeister_bound,

@@ -8,16 +8,14 @@ import numpy as np
 import pytest
 
 from clawtrace.canon import canonical_form
-from clawtrace.errors import InfeasibleRange, OrderTooLargeForCanonical, TargetUnreachable
+from clawtrace.errors import InfeasibleRange, InfeasibleSpec, OrderTooLargeForCanonical
 from clawtrace.families import (
-    BROUSEK_BASES,
     FamilySpec,
     complete,
     complete_plus_isolated,
     complete_split,
     edgeless,
     graph_l,
-    net,
     ning_ge,
     nn33,
 )
@@ -307,7 +305,7 @@ def test_infeasible_ranges_rejected():
         verify("NoSuchTheorem", 5, 6)
     with pytest.raises(InfeasibleRange):
         verify("MainMuG", 9, 7)
-    with pytest.raises(InfeasibleRange):
+    with pytest.raises(InfeasibleSpec):  # the exhaustive source's own cap
         verify("MainMuG", 3, 12)
     with pytest.raises(InfeasibleRange):
         verify("MainComplement", 24, 25)  # sampled-only theorem
@@ -527,10 +525,7 @@ def _samples_24_to_26():
     for n in (24, 25, 26):
         for seed in range(4):
             target = int(math.comb(n, 2) * (0.6, 0.7, 0.8, 0.95)[seed])
-            try:
-                out.append(sample_dense_claw_free(n, target, seed=100 * n + seed))
-            except TargetUnreachable as exc:
-                out.append(exc.graph)
+            out.append(sample_dense_claw_free(n, target, seed=100 * n + seed))
     return out
 
 
