@@ -6,9 +6,9 @@ request it cannot serve.
 The exhaustive sweep is canonical augmentation: graphs of order k+1 are
 built by attaching one new vertex to each parent of order k, and a child is
 kept only when deleting its canonically chosen removable vertex gives back
-exactly that parent.  Each isomorphism class therefore appears once, produced from one
-parent class, and hereditary predicates (claw-free, net-free, and the
-extended-net filter) prune the tree at every level.  One pass over bitsets
+exactly that parent.  Each isomorphism class therefore appears once,
+produced from one parent class, and hereditary predicates (claw-free,
+net-free, and the extended-net filter) prune the tree at every level.  One pass over bitsets
 of all 2^n attachment masks of a parent drops each mask that repeats an
 earlier one up to twins of the parent or that would close a claw, a
 (degree, triangle) key, read off tables of the parent, rejects most of the
@@ -314,7 +314,8 @@ def exhaustive_orders(
     read, and one worker pool serves all levels.  The checkpoint applies to
     the last (most expensive) level only.  An unknown predicate, 'closed'
     without 'claw-free', n_min < 1 or n_max > MAX_EXHAUSTIVE raises
-    InfeasibleSpec before any pool starts or checkpoint opens."""
+    InfeasibleSpec at the first step, before any pool starts or checkpoint
+    opens."""
     _check_chain(chain)
     if n_min < 1:
         raise InfeasibleSpec(f"order must be positive, got {n_min}")
