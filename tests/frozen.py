@@ -104,3 +104,10 @@ CANONICAL_LABELING_SHA256 = "8bf1ac18cd0423392654f4bbf65101b551083fc28a7b939c94c
 # parent of order 7, taken from the package's enumerator before the sweep
 # kept its levels in memory (commit fe70ad8).  Pins the format v2 bytes.
 CHECKPOINT_8_SHA256 = "e6679c0e995535dfa64fb6eafe7a0c5adbf962da110b4cb61501041f88c9bef8"
+
+# regression-only: sha256 of json.dumps of the list of to_dict() reports,
+# elapsed_ms removed, that test_verify.MARGIN_FREE_RUNS produces, taken from
+# the package's verifier while the registry still gave LBZ a separate
+# structural hypothesis and DGJ an explicit conclusion (commit 1a7e68c).
+# Pins the statements that have no margin, which FROZEN_RUNS does not reach.
+MARGIN_FREE_REPORTS_SHA256 = "a685f4ced3349c0340de8d03bf8f8d2db4d8ec920d325db3acd0da24108297d1"

@@ -446,6 +446,21 @@ def test_report_bytes_are_frozen():
     assert digest == frozen.FROZEN_REPORTS_SHA256
 
 
+# every statement without a margin, exhaustively at the orders it applies to
+MARGIN_FREE_RUNS = (("DGJ", 1, 7), ("LBZ", 1, 7), ("Hong", 1, 7), ("Hofmeister", 1, 7),
+                    ("BrousekOrder9", 3, 8))
+
+
+def test_margin_free_report_bytes_are_frozen():
+    reports = []
+    for theorem, n_min, n_max in MARGIN_FREE_RUNS:
+        d = verify(theorem, n_min, n_max).to_dict()
+        d.pop("elapsed_ms")
+        reports.append(d)
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == frozen.MARGIN_FREE_REPORTS_SHA256
+
+
 # ---------------------------------------------------------------------------
 # registry against the statements
 
