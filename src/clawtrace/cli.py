@@ -215,8 +215,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             print(s)
 
     if args.mode == "sample":
-        if args.count is None or args.seed is None:
-            raise ClawtraceError("sample mode needs --count and --seed")
         if args.checkpoint is not None:
             raise ClawtraceError("checkpoint applies to exhaustive mode only")
         _run_sample(args.n, chain, args.count, args.seed, args.density, emit)

@@ -1,7 +1,8 @@
 """The two graph sources: isomorph-free exhaustive generation at small
 orders (exhaustive_orders) and seeded dense samples at larger ones
 (_run_sample).  Each checks its own arguments and raises InfeasibleSpec on a
-request it cannot serve.
+request it cannot serve; _check_sample checks a sampled request whole, and
+verify calls it once before drawing at its first order.
 
 The exhaustive sweep is canonical augmentation: graphs of order k+1 are
 built by attaching one new vertex to each parent of order k, and a child is
@@ -411,6 +412,24 @@ def _sample_ok(g: Graph, chain: tuple[str, ...]) -> bool:
     return _emission_ok(g, chain)
 
 
+def _check_sample(
+    n: int, chain: tuple[str, ...], count: int | None, seed: int | None, density: float
+) -> None:
+    """Raise InfeasibleSpec unless a sampled request at orders up to n can
+    be served: count and seed given, a known chain, n <= MAX_SAMPLE, density
+    in [0, 1] and count >= 0.  Callers pass their largest order and their
+    whole count, so a request is refused before its first draw."""
+    if count is None or seed is None:
+        raise InfeasibleSpec("sample mode needs --count and --seed")
+    _check_chain(chain)
+    if not 1 <= n <= MAX_SAMPLE:
+        raise InfeasibleSpec(f"sample mode needs 1 <= n <= {MAX_SAMPLE}, got {n}")
+    if not 0.0 <= density <= 1.0:
+        raise InfeasibleSpec(f"density must lie in [0, 1], got {density}")
+    if count < 0:
+        raise InfeasibleSpec(f"sample count must be >= 0, got {count}")
+
+
 def _run_sample(
     n: int,
     chain: tuple[str, ...],
@@ -422,13 +441,7 @@ def _run_sample(
     """Feed `count` seeded samples of order n that pass the chain to
     consumer; return how many.  Attempt i draws sample_dense_claw_free with
     seed + i at the given edge density, so classes may repeat."""
-    _check_chain(chain)
-    if not 1 <= n <= MAX_SAMPLE:
-        raise InfeasibleSpec(f"sample mode needs 1 <= n <= {MAX_SAMPLE}, got {n}")
-    if not 0.0 <= density <= 1.0:
-        raise InfeasibleSpec(f"density must lie in [0, 1], got {density}")
-    if count < 0:
-        raise InfeasibleSpec(f"sample count must be >= 0, got {count}")
+    _check_sample(n, chain, count, seed, density)
     target_m = round(density * (n * (n - 1) // 2))
     emitted = 0
     attempts = 0

@@ -50,8 +50,4 @@ class InvalidParams(ClawtraceError):
 
 
 class InfeasibleSpec(ClawtraceError):
-    pass
-
-
-class InfeasibleRange(ClawtraceError):
-    pass
+    """A request that verify, hunt or a graph source cannot serve."""

@@ -189,7 +189,6 @@ _CONSTRUCTORS = {
     "BrousekBlown": brousek_blown,
     "CompletePlusIsolated": complete_plus_isolated,
 }
-KINDS = tuple(_CONSTRUCTORS)
 
 
 def make(spec: FamilySpec) -> Graph:

@@ -7,12 +7,14 @@ entry is a potential counterexample and fails the run.  Each numeric
 statement is declared once, as a signed margin that is positive on the
 statement's side together with its error bound; verify and hunt judge every
 graph by the same rule (_verdict), and cmp_tol reaches nothing else.  Each
-conclusion is a function of the graph alone.  For a theorem the margin is
-its hypothesis: borderline graphs are listed separately while still being
-conclusion-checked, so floating-point slack can hide nothing.  A constructed
-family sweep claims its margin instead: a graph whose margin is borderline
-or fails is listed as an exception, and a borderline one also as
-borderline.
+conclusion is a function of the graph alone; without a margin every graph
+satisfies the hypothesis, so LBZ states its block-chain condition in its
+conclusion.  For a theorem the margin is its hypothesis: borderline graphs
+are listed separately while still being conclusion-checked, so
+floating-point slack can hide nothing.  A constructed family sweep claims
+its margin instead: a graph whose margin is borderline or fails is listed
+as an exception, and a borderline one also as borderline.  A request that
+verify or hunt cannot serve raises InfeasibleSpec, as the sources do.
 
 Traceability is decided by an exact cascade, cheapest certificate first:
 the degree-sum path closure of the graph itself, structural
@@ -34,9 +36,9 @@ from typing import Callable, Optional
 
 from . import graph6 as g6
 from .canon import MAX_CANONICAL, canonical_form
-from .enumeration import _run_sample, exhaustive_orders
+from .enumeration import MAX_EXHAUSTIVE, _check_sample, _run_sample, exhaustive_orders
 from .errors import (
-    InfeasibleRange,
+    InfeasibleSpec,
     InvalidParams,
     NotClawFree,
     OrderOutOfRange,
@@ -342,17 +344,14 @@ class TheoremSpec:
     id: str
     chain: tuple[str, ...]
     floor_n: int
-    conclusion: Callable[[Graph], Optional[bool]]
+    conclusion: Callable[[Graph], Optional[bool]] = _traceable_conclusion
     # the numeric hypothesis, or a family sweep's claim: (signed margin,
     # positive on the statement's side; its error bound, None when the
-    # margin is an exact integer)
+    # margin is an exact integer); without one, every graph of the corpus
+    # satisfies the hypothesis
     margin: Callable[[Graph], tuple[float, Optional[float]]] | None = None
-    # the structural hypothesis of a theorem without a margin; with neither,
-    # every graph of the corpus satisfies the hypothesis
-    hypothesis: Callable[[Graph], bool] | None = None
     exception_families: Callable[[int], list[FamilySpec]] = _no_families
     exception_rule: str = "isomorphic"  # or "pendant-spanning-subgraph"
-    sampled_only: bool = False
     # the graphs of a constructed family sweep at order n; such a sweep
     # claims its margin, so only a YES verdict goes on to the conclusion
     family_sweep: Callable[[int], list[Graph]] | None = None
@@ -361,8 +360,7 @@ class TheoremSpec:
 def _judge(spec: TheoremSpec, g: Graph, cmp_tol: float) -> tuple[str, Optional[float]]:
     """The hypothesis verdict on g and its margin (None without a margin)."""
     if spec.margin is None:
-        holds = spec.hypothesis is None or spec.hypothesis(g)
-        return (YES if holds else NO), None
+        return YES, None
     margin, error = spec.margin(g)
     return _verdict(margin, error, cmp_tol), margin
 
@@ -400,7 +398,6 @@ _register(
         margin=lambda g: _radius_above(g, g.n - 2),
         chain=(),
         floor_n=2,
-        conclusion=_traceable_conclusion,
         exception_families=_cpi_family,
     )
 )
@@ -410,7 +407,6 @@ _register(
         margin=lambda g: _complement_radius_below(g, math.sqrt(g.n - 1)),
         chain=(),
         floor_n=2,
-        conclusion=_traceable_conclusion,
         exception_families=_cpi_family,
     )
 )
@@ -420,7 +416,6 @@ _register(
         margin=lambda g: _radius_above(g, math.sqrt((g.n - 3) ** 2 + 3)),
         chain=("connected",),
         floor_n=7,
-        conclusion=_traceable_conclusion,
     )
 )
 _register(
@@ -429,7 +424,6 @@ _register(
         margin=lambda g: _radius_above(g, g.n - 3),
         chain=("connected",),
         floor_n=7,
-        conclusion=_traceable_conclusion,
         exception_families=_ning_ge_family,
     )
 )
@@ -439,7 +433,6 @@ _register(
         margin=lambda g: _radius_above(g, g.n - 4),
         chain=("connected", "claw-free"),
         floor_n=2,
-        conclusion=_traceable_conclusion,
         exception_families=_nn33_family,
     )
 )
@@ -449,8 +442,6 @@ _register(
         margin=lambda g: _complement_radius_below(g, _complement_threshold(g.n)),
         chain=("connected", "claw-free"),
         floor_n=24,
-        sampled_only=True,
-        conclusion=_traceable_conclusion,
         exception_families=_nn33_family,
     )
 )
@@ -459,7 +450,6 @@ _register(
         id="DGJ",
         chain=("connected", "claw-free", "net-free"),
         floor_n=1,
-        conclusion=_traceable_conclusion,
     )
 )
 _register(
@@ -467,8 +457,8 @@ _register(
         id="LBZ",
         chain=("connected", "claw-free", "m-free"),
         floor_n=1,
-        hypothesis=is_block_chain,
-        conclusion=_traceable_conclusion,
+        # block-chains are traceable
+        conclusion=lambda g: not is_block_chain(g) or _traceable_conclusion(g),
     )
 )
 _register(
@@ -478,7 +468,6 @@ _register(
         margin=lambda g: (float((_degree_sum_nonadjacent_max(g) or -1) - (g.n - 1)), None),
         chain=("connected", "claw-free", "closed"),
         floor_n=1,
-        conclusion=_traceable_conclusion,
     )
 )
 _register(
@@ -487,7 +476,6 @@ _register(
         margin=lambda g: (float(g.m - math.comb(g.n - 3, 2) - 2), None),
         chain=("connected", "claw-free"),
         floor_n=6,
-        conclusion=_traceable_conclusion,
         exception_families=_edge_lemma_families,
     )
 )
@@ -498,8 +486,6 @@ _register(
         margin=lambda g: (g.m - math.comb(g.n, 2) + triple_split_radius(g.n) ** 2, 0.0),
         chain=("connected", "claw-free"),
         floor_n=24,
-        sampled_only=True,
-        conclusion=_traceable_conclusion,
         exception_families=_nn33_family,
         exception_rule="pendant-spanning-subgraph",
     )
@@ -546,7 +532,6 @@ _register(
         margin=lambda g: (float(2 * g.min_degree() - (g.n - 1)), None),
         chain=(),
         floor_n=1,
-        conclusion=_traceable_conclusion,
     )
 )
 _register(
@@ -555,7 +540,6 @@ _register(
         margin=lambda g: (float(3 * g.min_degree() - (g.n - 2)), None),
         chain=("connected", "claw-free"),
         floor_n=1,
-        conclusion=_traceable_conclusion,
     )
 )
 
@@ -619,17 +603,15 @@ def _render(g: Graph) -> str:
     return g6.encode(g)
 
 
-def _checked_spec(theorem: str, n_min: int, cmp_tol: float, top: int = 0) -> TheoremSpec:
+def _checked_spec(theorem: str, n_min: int, cmp_tol: float) -> TheoremSpec:
     """The registry entry of a verify or hunt run whose arguments are in range."""
     if theorem not in REGISTRY:
-        raise InfeasibleRange(f"unknown theorem id {theorem!r}")
+        raise InfeasibleSpec(f"unknown theorem id {theorem!r}")
     spec = REGISTRY[theorem]
     if n_min < spec.floor_n:
-        raise InfeasibleRange(f"{theorem} applies from n = {spec.floor_n}, got {n_min}")
+        raise InfeasibleSpec(f"{theorem} applies from n = {spec.floor_n}, got {n_min}")
     if not (math.isfinite(cmp_tol) and cmp_tol >= 0):
-        raise InfeasibleRange(f"cmp_tol must be finite and >= 0, got {cmp_tol}")
-    if top < 0:
-        raise InfeasibleRange(f"top must be >= 0, got {top}")
+        raise InfeasibleSpec(f"cmp_tol must be finite and >= 0, got {cmp_tol}")
     return spec
 
 
@@ -660,23 +642,22 @@ def verify(
     land in the report as Unmatched exceptions.  cmp_tol (finite, >= 0) is
     the threshold comparison slack, to which each comparison adds the
     margin's own error bound; a graph whose margin lies within that slack is
-    listed as borderline and still checked.
+    listed as borderline and still checked.  A sampled request is checked
+    whole, every order and the total count, before its first draw.
     """
     spec = _checked_spec(theorem, n_min, cmp_tol)
     if n_min > n_max:
-        raise InfeasibleRange(f"empty range {n_min}..{n_max}")
+        raise InfeasibleSpec(f"empty range {n_min}..{n_max}")
     sampling = mode == "sample"
     if mode not in ("exhaustive", "sample"):
-        raise InfeasibleRange(f"unknown mode {mode!r}")
-    if spec.sampled_only and not sampling:
-        raise InfeasibleRange(f"{theorem} is only checkable in sample mode")
+        raise InfeasibleSpec(f"unknown mode {mode!r}")
+    if spec.floor_n > MAX_EXHAUSTIVE and not sampling:
+        raise InfeasibleSpec(f"{theorem} is only checkable in sample mode")
     if sampling:
         if spec.family_sweep is not None:
-            raise InfeasibleRange(f"{theorem} sweeps a constructed family only")
-        if count is None or seed is None:
-            raise InfeasibleRange("sample mode needs --count and --seed")
-        if count < 0:  # before the split, which would name a per-order share
-            raise InfeasibleRange(f"sample count must be >= 0, got {count}")
+            raise InfeasibleSpec(f"{theorem} sweeps a constructed family only")
+        # the whole request, before the split names a per-order share
+        _check_sample(n_max, spec.chain, count, seed, density)
 
     t0 = time.perf_counter()
     checked = 0
@@ -766,11 +747,13 @@ def hunt(
     conclusion fails and that match no declared exception, and ranks
     conclusion-violating graphs that just miss the hypothesis by how close
     their margin comes to the threshold, keeping the `top` closest."""
-    spec = _checked_spec(theorem, n, cmp_tol, top)
+    spec = _checked_spec(theorem, n, cmp_tol)
+    if top < 0:
+        raise InfeasibleSpec(f"top must be >= 0, got {top}")
     if spec.margin is None:
-        raise InfeasibleRange(f"{theorem} has no numeric hypothesis to hunt against")
+        raise InfeasibleSpec(f"{theorem} has no numeric hypothesis to hunt against")
     if spec.family_sweep is not None:
-        raise InfeasibleRange(f"{theorem} sweeps a constructed family only")
+        raise InfeasibleSpec(f"{theorem} sweeps a constructed family only")
     t0 = time.perf_counter()
     checked = 0
     counterexamples: list[tuple[str, str]] = []

@@ -1,11 +1,12 @@
 import pytest
 
+from clawtrace import cli
 from clawtrace.canon import canonical_form
 from clawtrace.errors import InvalidParams, OrderOutOfRange
 from clawtrace.families import (
     BROUSEK_BASES,
-    KINDS,
     T_JOIN,
+    _CONSTRUCTORS,
     FamilySpec,
     brousek,
     brousek_blown,
@@ -156,4 +157,5 @@ def test_make_dispatch_and_labels():
     with pytest.raises(InvalidParams):
         make(FamilySpec("CompleteSplit", (3,)))  # wrong arity
     assert set(s.kind for s in BROUSEK_BASES) == {"Brousek"}
-    assert len(KINDS) == 12
+    # every constructor is reachable from `clawtrace construct`
+    assert set(cli._FAMILIES.values()) == set(_CONSTRUCTORS)

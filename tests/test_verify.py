@@ -7,8 +7,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from clawtrace import enumeration
 from clawtrace.canon import canonical_form
-from clawtrace.errors import InfeasibleRange, InfeasibleSpec, OrderTooLargeForCanonical
+from clawtrace.errors import InfeasibleSpec, OrderTooLargeForCanonical
 from clawtrace.families import (
     FamilySpec,
     complete,
@@ -301,28 +302,44 @@ def test_report_serializes():
 
 
 def test_infeasible_ranges_rejected():
-    with pytest.raises(InfeasibleRange):
+    with pytest.raises(InfeasibleSpec):
         verify("NoSuchTheorem", 5, 6)
-    with pytest.raises(InfeasibleRange):
+    with pytest.raises(InfeasibleSpec):
         verify("MainMuG", 9, 7)
     with pytest.raises(InfeasibleSpec):  # the exhaustive source's own cap
         verify("MainMuG", 3, 12)
-    with pytest.raises(InfeasibleRange):
+    with pytest.raises(InfeasibleSpec):
         verify("MainComplement", 24, 25)  # sampled-only theorem
-    with pytest.raises(InfeasibleRange):
+    with pytest.raises(InfeasibleSpec):
         verify("MainMuG", 1, 4)  # below the statement floor
-    with pytest.raises(InfeasibleRange):
+    with pytest.raises(InfeasibleSpec):
         verify("MainMuG", 7, 8, mode="sample", count=5)  # seed missing
-    with pytest.raises(InfeasibleRange):
+    with pytest.raises(InfeasibleSpec):
         verify("HamiltonianFamily", 12, 12, mode="sample", count=5, seed=1)
-    with pytest.raises(InfeasibleRange):
+    with pytest.raises(InfeasibleSpec):
         verify("MainMuG", 7, 7, mode="warp")
     # the caller's count, not the share of one order after the split
-    with pytest.raises(InfeasibleRange, match=r"sample count must be >= 0, got -4$"):
+    with pytest.raises(InfeasibleSpec, match=r"sample count must be >= 0, got -4$"):
         verify("MainComplement", 24, 25, mode="sample", count=-4, seed=1)
     for tol in (-0.5, math.nan, math.inf):
-        with pytest.raises(InfeasibleRange, match="cmp_tol"):
+        with pytest.raises(InfeasibleSpec, match="cmp_tol"):
             verify("MainMuG", 7, 7, cmp_tol=tol)
+
+
+def test_sample_request_refused_before_the_first_draw(monkeypatch):
+    # order 31 is past MAX_SAMPLE; the whole request is checked before
+    # orders 24..30 draw a single graph
+    draws = []
+    real = enumeration.sample_dense_claw_free
+
+    def counting(*args):
+        draws.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(enumeration, "sample_dense_claw_free", counting)
+    with pytest.raises(InfeasibleSpec, match=r"1 <= n <= 30, got 31$"):
+        verify("MainComplement", 24, 31, mode="sample", count=700, seed=1)
+    assert draws == []
 
 
 def test_exception_families_satisfy_hypothesis_violate_conclusion():
@@ -359,23 +376,23 @@ def test_hunt_near_misses_sorted_and_deduplicated():
 
 
 def test_hunt_rejects_margin_free_theorems():
-    with pytest.raises(InfeasibleRange):
+    with pytest.raises(InfeasibleSpec):
         hunt("DGJ", n=8, seed=1, count=5)
-    with pytest.raises(InfeasibleRange):
+    with pytest.raises(InfeasibleSpec):
         hunt("NoSuch", n=8, seed=1, count=5)
-    with pytest.raises(InfeasibleRange):
+    with pytest.raises(InfeasibleSpec):
         hunt("MainMuG", n=1, seed=1, count=5)
-    with pytest.raises(InfeasibleRange, match="constructed family"):
+    with pytest.raises(InfeasibleSpec, match="constructed family"):
         hunt("HamiltonianFamily", n=12, seed=1, count=5)
 
 
 def test_hunt_rejects_out_of_range_numbers():
     # top=-1 would slice off the last near miss; a negative or non-finite
     # tolerance would turn clean graphs into counterexamples
-    with pytest.raises(InfeasibleRange, match="top"):
+    with pytest.raises(InfeasibleSpec, match="top"):
         hunt("MainMuG", 10, 4, 250, density=0.3, top=-1)
     for tol in (-0.5, math.nan, -math.inf):
-        with pytest.raises(InfeasibleRange, match="cmp_tol"):
+        with pytest.raises(InfeasibleSpec, match="cmp_tol"):
             hunt("MainMuG", 8, 3, 40, density=0.3, cmp_tol=tol)
     assert hunt("MainMuG", 8, 3, 40, density=0.3, top=0).near_misses == ()
 
