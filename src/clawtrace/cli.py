@@ -19,13 +19,7 @@ from .enumeration import _run_sample, exhaustive_orders
 from .errors import ClawtraceError
 from .families import FamilySpec, make
 from .families import graph_l, graph_m, net
-from .graph import (
-    Graph,
-    block_decomposition,
-    complement,
-    components,
-    is_block_chain,
-)
+from .graph import Graph, complement, components, is_block_chain, separations
 from .hamilton import MAX_EXACT, has_hamilton_cycle, has_hamilton_path
 from .spectral import DEFAULT_CMP_TOL, hofmeister_bound, hong_bound, spectral_radius
 from .structure import closure, find_induced, is_claw_free, is_closed
@@ -96,6 +90,14 @@ def _print_kv(info: dict) -> None:
 # subcommands
 
 
+def _block_counts(g: Graph) -> tuple[int, int]:
+    """Blocks and cut vertices of a connected g.  The block-cut tree has one
+    edge per component of g - c at each cut vertex c, and a tree has one
+    node more than it has edges."""
+    cuts = [len(comps) for comps in separations(g) if len(comps) >= 2]
+    return 1 + sum(cuts) - len(cuts), len(cuts)
+
+
 def _analyze_one(g: Graph) -> dict:
     comps = components(g)
     connected = len(comps) == 1
@@ -107,15 +109,8 @@ def _analyze_one(g: Graph) -> dict:
         "connected": connected,
         "components": len(comps),
     }
-    if connected:
-        dec = block_decomposition(g)
-        info["blocks"] = len(dec.blocks)
-        info["cut_vertices"] = dec.cut_vertices.bit_count()
-        info["block_chain"] = is_block_chain(g)
-    else:
-        info["blocks"] = None
-        info["cut_vertices"] = None
-        info["block_chain"] = False
+    info["blocks"], info["cut_vertices"] = _block_counts(g) if connected else (None, None)
+    info["block_chain"] = is_block_chain(g)
     claw_free = is_claw_free(g)
     info["claw_free"] = claw_free
     info["spectral_radius"] = spectral_radius(g).value
@@ -125,9 +120,9 @@ def _analyze_one(g: Graph) -> dict:
     info["traceable"] = has_hamilton_path(g) if exact else None
     info["hamiltonian"] = has_hamilton_cycle(g) if exact else None
     info["closed"] = is_closed(g) if claw_free else None
-    info["induced_net"] = find_induced(g, net()) is not None if g.n >= 6 else False
-    info["induced_m"] = find_induced(g, graph_m()) is not None if g.n >= 8 else False
-    info["induced_l"] = find_induced(g, graph_l()) is not None if g.n >= 7 else False
+    info["induced_net"] = find_induced(g, net()) is not None
+    info["induced_m"] = find_induced(g, graph_m()) is not None
+    info["induced_l"] = find_induced(g, graph_l()) is not None
     return info
 
 

@@ -52,8 +52,8 @@ from .graph import (
     induced,
     is_connected,
     is_two_connected,
-    mask_components,
     relabel,
+    separations,
 )
 from . import graph6
 from .structure import find_induced, is_claw_free, is_closed
@@ -158,7 +158,7 @@ def _rule_filter(parent: Graph, connected: bool) -> Callable[[int], list[int]]:
     n = parent.n
     adj = parent.adj
     keys = vertex_keys(parent)
-    pieces = [mask_components(parent, parent.vertex_mask & ~(1 << v)) for v in range(n)]
+    pieces = separations(parent)
 
     def candidates(mask: int) -> list[int]:
         inner = {v: (adj[v] & mask).bit_count() for v in bits(mask)}

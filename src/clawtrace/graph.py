@@ -3,19 +3,17 @@
 Adjacency is stored as one python int bitmask per vertex, so neighborhood
 intersections, independence tests and component sweeps are single word
 operations.  Vertex subsets everywhere in this package are plain int bitmasks
-(``VertexSet``); bit i set means vertex i is in the set.
+(``VertexSet``); bit i set means vertex i is in the set.  One primitive,
+separations (the components of g - v for each vertex v), is behind every
+cut-vertex test: two-connectivity, block chains, the block and cut-vertex
+counts of analyze, the traceability no-certificate and the removal rule of
+the exhaustive sweep.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (
-    DisconnectedInput,
-    EmptySet,
-    LoopEdge,
-    OrderOutOfRange,
-    VertexOutOfRange,
-)
+from .errors import EmptySet, LoopEdge, OrderOutOfRange, VertexOutOfRange
 
 VertexSet = int
 
@@ -140,101 +138,43 @@ def is_connected(g: Graph) -> bool:
     return _reach(g, 0, g.vertex_mask) == g.vertex_mask
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    blocks: tuple[VertexSet, ...]
-    cut_vertices: VertexSet
-    end_block_count: int
+def separations(g: Graph) -> list[list[VertexSet]]:
+    """The components of g - v for each vertex v, each list ordered as
+    mask_components orders it; every cut-vertex test of the package reads
+    them.
 
-
-def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Biconnected components and cut vertices (Hopcroft-Tarjan).
-
-    Requires a connected input.  A single vertex is its own (trivial) block;
-    a nonseparable graph yields one block and zero end-blocks.
+    For connected g with n >= 2, v is a cut vertex exactly when g - v has
+    two or more components, and then it lies in one block per component:
+    the block-cut tree has one edge from v to a block per component of
+    g - v.  The end blocks of a g with a cut vertex are counted by the pairs
+    (c, C), C a component of g - c that holds no cut vertex.  An end block
+    B has one cut vertex c, and B - c is a whole component of g - c: an edge
+    leaving B - c would put a vertex of B - c in a second block, making it a
+    cut vertex.  Conversely, the blocks that meet such a C span a subtree of
+    the block-cut tree that stays connected without c, so two of them would
+    be joined through a cut vertex inside C; C is therefore one block less
+    c, and that block is an end block.
     """
-    if not is_connected(g):
-        raise DisconnectedInput("block decomposition needs a connected graph")
-    n = g.n
-    if n == 1:
-        return BlockDecomposition(blocks=(1,), cut_vertices=0, end_block_count=0)
-
-    disc = [0] * n
-    low = [0] * n
-    timer = 1
-    cut = 0
-    blocks: list[VertexSet] = []
-    edge_stack: list[tuple[int, int]] = []
-
-    # iterative DFS; stack entries are (vertex, parent, neighbor iterator)
-    stack = [(0, -1, iter(list(bits(g.adj[0]))))]
-    disc[0] = low[0] = timer
-    timer += 1
-    root_children = 0
-
-    while stack:
-        v, parent, it = stack[-1]
-        advanced = False
-        for u in it:
-            if disc[u] == 0:
-                edge_stack.append((v, u))
-                disc[u] = low[u] = timer
-                timer += 1
-                if v == 0:
-                    root_children += 1
-                stack.append((u, v, iter(list(bits(g.adj[u])))))
-                advanced = True
-                break
-            elif u != parent and disc[u] < disc[v]:
-                edge_stack.append((v, u))
-                if disc[u] < low[v]:
-                    low[v] = disc[u]
-        if advanced:
-            continue
-        stack.pop()
-        if stack:
-            pv = stack[-1][0]
-            if low[v] < low[pv]:
-                low[pv] = low[v]
-            if low[v] >= disc[pv]:
-                # edges above and including (pv, v) form one biconnected component
-                if pv != 0:
-                    cut |= 1 << pv
-                block = 0
-                while True:
-                    a, b = edge_stack.pop()
-                    block |= (1 << a) | (1 << b)
-                    if (a, b) == (pv, v):
-                        break
-                blocks.append(block)
-
-    # root is a cut vertex iff it has >= 2 DFS children
-    if root_children > 1:
-        cut |= 1
-
-    end_blocks = 0
-    if len(blocks) > 1:
-        end_blocks = sum(1 for b in blocks if (b & cut).bit_count() == 1)
-    return BlockDecomposition(
-        blocks=tuple(blocks), cut_vertices=cut, end_block_count=end_blocks
-    )
+    full = g.vertex_mask
+    return [mask_components(g, full & ~(1 << v)) for v in range(g.n)]
 
 
 def is_block_chain(g: Graph) -> bool:
-    """Nonseparable, or connectivity 1 with exactly two end-blocks."""
+    """Connected, and nonseparable or with exactly two end blocks, so that
+    the block-cut tree is a path; end blocks are counted as in
+    separations."""
     if not is_connected(g):
         return False
-    dec = block_decomposition(g)
-    if dec.cut_vertices == 0:
+    pieces = separations(g)
+    cut = sum(1 << v for v, comps in enumerate(pieces) if len(comps) >= 2)
+    if not cut:
         return True
-    return dec.end_block_count == 2
+    return sum(1 for comps in pieces if len(comps) >= 2 for c in comps if not c & cut) == 2
 
 
 def is_two_connected(g: Graph) -> bool:
-    """Connected, at least 3 vertices, and no cut vertex."""
-    if g.n < 3 or not is_connected(g):
-        return False
-    return block_decomposition(g).cut_vertices == 0
+    """Connected, at least 3 vertices, and every g - v has one component."""
+    return g.n >= 3 and is_connected(g) and all(len(comps) == 1 for comps in separations(g))
 
 
 def is_complete(g: Graph) -> bool:

@@ -53,7 +53,7 @@ from .graph import (
     is_complete,
     is_connected,
     is_two_connected,
-    mask_components,
+    separations,
 )
 from .hamilton import MAX_EXACT, has_hamilton_cycle, has_hamilton_path
 from .spectral import (
@@ -70,15 +70,6 @@ BOUND_SLACK = 1e-9
 
 # ---------------------------------------------------------------------------
 # exact traceability cascade
-
-
-def _has_heavy_cut_vertex(g: Graph) -> bool:
-    # removing one vertex of a traceable graph leaves at most 2 components
-    for v in range(g.n):
-        rest = g.vertex_mask & ~(1 << v)
-        if len(mask_components(g, rest)) >= 3:
-            return True
-    return False
 
 
 def _path_closure(g: Graph) -> Graph:
@@ -171,7 +162,9 @@ def decide_traceable(g: Graph) -> Optional[bool]:
         return False
     if sum(1 for v in range(g.n) if g.degree(v) == 1) >= 3:
         return False
-    if g.n >= 3 and _has_heavy_cut_vertex(g):
+    # a Hamilton path less one vertex is at most two paths, so no g - v of a
+    # traceable g has 3 components (below 3 vertices none can)
+    if any(len(comps) >= 3 for comps in separations(g)):
         return False
     # cheap yes-certificates first: the exact solver is exponential in n
     try:

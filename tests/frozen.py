@@ -111,3 +111,12 @@ CHECKPOINT_8_SHA256 = "e6679c0e995535dfa64fb6eafe7a0c5adbf962da110b4cb61501041f8
 # structural hypothesis and DGJ an explicit conclusion (commit 1a7e68c).
 # Pins the statements that have no margin, which FROZEN_RUNS does not reach.
 MARGIN_FREE_REPORTS_SHA256 = "a685f4ced3349c0340de8d03bf8f8d2db4d8ec920d325db3acd0da24108297d1"
+
+# regression-only: sha256 of json.dumps of the list of [connected,
+# components, blocks, cut_vertices, block_chain] that cli._analyze_one gives
+# for each graph of exhaustive_orders((), 1, 6), all 208 classes of orders
+# 1..6 in sweep order, the disconnected ones included, taken from the
+# package while blocks came from a Hopcroft-Tarjan DFS (commit fa497be).
+# The float fields are left out: their last ulp may differ across LAPACK
+# builds.
+ANALYZE_STRUCTURE_SHA256 = "77c68b888450345fab265e78f45019318c7f8878e54b82ade21238151324ede6"

@@ -6,13 +6,16 @@ Hamilton paths and cycles from depth-first search over simple paths,
 induced-subgraph hits from subset enumeration, isomorphism from
 permutation search, the path closure from an all-pairs fixpoint loop, and
 isomorphism-class counts from permutation-orbit marking over all labeled
-graphs, and threshold verdicts from the margin rule written out on its own.
+graphs, threshold verdicts from the margin rule written out on its own, and
+block structure from networkx's biconnected components and articulation
+points.
 
 exhaustive_list, at the end, is no oracle: it collects the package's own
 enumerator into a list for the tests that want one.
 """
 import itertools
 
+import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
@@ -230,6 +233,26 @@ def labeled_filter_counts(n: int) -> tuple[int, int, int]:
         count_classes(connected),
         count_classes(connected & ~claw),
     )
+
+
+def block_structure_nx(g: Graph) -> tuple:
+    """(blocks, cut vertices, block chain, two-connected) from networkx; the
+    counts are None for a disconnected g, as analyze reports them.  A block
+    chain is a connected graph whose block-cut tree is a path, which for a
+    tree means no node of degree 3 or more; K1 is one trivial block."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    if not nx.is_connected(h):
+        return None, None, False, False
+    blocks = [set(b) for b in nx.biconnected_components(h)] or [set(h)]
+    cuts = set(nx.articulation_points(h))
+    tree = nx.Graph()
+    tree.add_nodes_from(range(len(blocks)))
+    tree.add_edges_from((i, ("cut", c)) for i, b in enumerate(blocks) for c in b & cuts)
+    assert nx.is_tree(tree)
+    chain = max(d for _, d in tree.degree) <= 2
+    return len(blocks), len(cuts), chain, g.n >= 3 and not cuts
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:

@@ -10,6 +10,7 @@ import pytest
 
 import clawtrace
 from clawtrace import cli, graph6
+from clawtrace.enumeration import exhaustive_orders
 from clawtrace.families import brousek, complete, nn33
 from clawtrace.graph import complement, from_edges
 from clawtrace.spectral import spectral_radius
@@ -61,6 +62,18 @@ def test_analyze_disconnected_fields(capsys):
     assert d["connected"] is False and d["components"] == 4
     assert d["blocks"] is None and d["hong_bound"] is None
     assert d["block_chain"] is False
+
+
+def test_analyze_structure_is_frozen():
+    keys = ("connected", "components", "blocks", "cut_vertices", "block_chain")
+    rows = [
+        [cli._analyze_one(g)[k] for k in keys]
+        for graphs in exhaustive_orders((), 1, 6)
+        for g in graphs
+    ]
+    assert len(rows) == 208
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == frozen.ANALYZE_STRUCTURE_SHA256
 
 
 def test_analyze_stdin_multiline(capsys, monkeypatch):

@@ -1,18 +1,12 @@
 import numpy as np
 import pytest
 
-from clawtrace.errors import (
-    DisconnectedInput,
-    EmptySet,
-    LoopEdge,
-    OrderOutOfRange,
-    VertexOutOfRange,
-)
+from clawtrace.cli import _analyze_one
+from clawtrace.errors import EmptySet, LoopEdge, OrderOutOfRange, VertexOutOfRange
 from clawtrace.families import complete, edgeless, star
 from clawtrace.graph import (
     Graph,
     bits,
-    block_decomposition,
     complement,
     components,
     disjoint_union,
@@ -27,6 +21,7 @@ from clawtrace.graph import (
     mask_connected,
     mask_is_clique,
     relabel,
+    separations,
 )
 
 from oracles import brute_force_isomorphic, random_graph
@@ -107,34 +102,39 @@ def test_connectivity_small_cases():
     assert len(components(from_edges(5, [(0, 1), (2, 3)]))) == 3
 
 
+def cut_vertices(g):
+    return {v for v, comps in enumerate(separations(g)) if len(comps) >= 2}
+
+
+def block_counts(g):
+    info = _analyze_one(g)
+    return info["blocks"], info["cut_vertices"]
+
+
 def test_block_decomposition_path():
-    dec = block_decomposition(path_graph(5))
-    assert len(dec.blocks) == 4
-    assert dec.cut_vertices.bit_count() == 3
-    assert dec.end_block_count == 2
+    g = path_graph(5)
+    assert separations(g)[2] == [0b00011, 0b11000]
+    assert cut_vertices(g) == {1, 2, 3}
+    assert block_counts(g) == (4, 3)
+    assert is_block_chain(g)
+    assert not is_two_connected(g)
 
 
 def test_block_decomposition_two_triangles_sharing_a_vertex():
     g = from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
-    dec = block_decomposition(g)
-    assert len(dec.blocks) == 2
-    assert dec.cut_vertices == 1 << 2
-    assert dec.end_block_count == 2
+    assert cut_vertices(g) == {2}
+    assert block_counts(g) == (2, 1)
     assert is_block_chain(g)
     assert not is_two_connected(g)
 
 
 def test_block_decomposition_biconnected():
-    dec = block_decomposition(cycle_graph(6))
-    assert len(dec.blocks) == 1
-    assert dec.cut_vertices == 0
-    assert dec.end_block_count == 0
-    assert is_two_connected(cycle_graph(6))
-
-
-def test_block_decomposition_rejects_disconnected():
-    with pytest.raises(DisconnectedInput):
-        block_decomposition(from_edges(4, [(0, 1)]))
+    g = cycle_graph(6)
+    assert all(comps == [g.vertex_mask & ~(1 << v)] for v, comps in enumerate(separations(g)))
+    assert cut_vertices(g) == set()
+    assert block_counts(g) == (1, 0)
+    assert is_block_chain(g)
+    assert is_two_connected(g)
 
 
 def test_block_chain_star_is_not():

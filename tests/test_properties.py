@@ -1,8 +1,8 @@
 """Property tests for the augmentation filters, the canonical form, the
 claw test, the path closure and the traceability cascade.
 
-networkx serves as the independent oracle for isomorphism, cut vertices
-and the components under a vertex mask; the removal rule is written out
+networkx serves as the independent oracle for isomorphism, cut vertices,
+blocks and the components under a vertex mask; the removal rule is written out
 here from canonical_labeling and canonical_form, not taken from the
 enumerator.  The claw test is checked against the brute-force triple scan,
 the path closure against an all-pairs fixpoint loop, the partition
@@ -10,7 +10,10 @@ refinement against a recount of every vertex against every cell, the twin
 masks and vertex keys against their pairwise definitions, and the cascade
 against the exact Hamilton path solver.
 """
+import math
+
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +26,7 @@ from clawtrace.canon import (
     earlier_twins,
     vertex_keys,
 )
+from clawtrace.cli import _analyze_one, _block_counts
 from clawtrace.enumeration import (
     _attach,
     _rule_filter,
@@ -34,7 +38,9 @@ from clawtrace.graph import (
     components,
     from_edges,
     induced,
+    is_block_chain,
     is_connected,
+    is_two_connected,
     mask_components,
     mask_connected,
     relabel,
@@ -44,12 +50,14 @@ from clawtrace.structure import is_claw_free
 from clawtrace.verify import _path_closure, decide_traceable
 
 from oracles import (
+    block_structure_nx,
     claw_free_brute,
     earlier_twins_pairwise,
     exhaustive_list,
     graphs,
     graphs_with_twins,
     path_closure_brute,
+    random_graph,
     vertex_keys_per_neighbour,
 )
 
@@ -268,3 +276,28 @@ def test_component_helpers_match_networkx(g, data):
     full = [sum(1 << v for v in c) for c in nx.connected_components(_nx(g))]
     assert components(g) == sorted(full, key=lambda c: c & -c)
     assert is_connected(g) == nx.is_connected(_nx(g))
+
+
+def _block_structure(g: Graph) -> tuple:
+    counts = _block_counts(g) if is_connected(g) else (None, None)
+    return (*counts, is_block_chain(g), is_two_connected(g))
+
+
+def test_block_structure_matches_networkx_on_the_atlas():
+    # every graph on 1..7 vertices, the disconnected ones included; analyze
+    # reports the counts, so it is read here for this small corpus
+    for h in nx.graph_atlas_g()[1:]:
+        g = from_edges(h.number_of_nodes(), h.edges())
+        info = _analyze_one(g)
+        got = (info["blocks"], info["cut_vertices"], info["block_chain"], is_two_connected(g))
+        assert got == block_structure_nx(g), h.edges()
+
+
+def test_block_structure_matches_networkx_on_random_graphs():
+    # edge probabilities around the connectivity threshold log(n)/n, so
+    # disconnected, separable and 2-connected graphs all occur up to n = 30
+    rng = np.random.default_rng(20)
+    for _ in range(3000):
+        n = int(rng.integers(1, 31))
+        g = random_graph(rng, n, min(1.0, rng.uniform(0.7, 1.8) * math.log(n + 1) / n))
+        assert _block_structure(g) == block_structure_nx(g), list(g.edges())
