@@ -57,6 +57,12 @@ EXHAUSTIVE_ORDER_SHA256 = {
         "9b08438ae608b07b878f5f4e5fa72fec4ea13fcf254d059592a4dd9933a408e1",
     (9, ("connected", "claw-free")):
         "2bb2789b32899a95f8441dfb87e8ff4b1c7397ea19c729ffd0fbbde49359972a",
+    # the pattern-filtered chains, 811 and 880 classes, taken at commit
+    # 1cbae96, before the key test moved ahead of the pattern filters
+    (8, ("connected", "claw-free", "net-free")):
+        "5659fcd298c92f076f6986fde9f851d740c04a34739f239a04d5371272537c0e",
+    (8, ("connected", "claw-free", "m-free")):
+        "4d67f4f943b700ab727808af1800b97023bdc9ca279d2d2b991eec1bc9be1370",
 }
 
 # regression-only: the order-10 level of exhaustive_orders(("connected",
