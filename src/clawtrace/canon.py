@@ -2,11 +2,10 @@
 
 Individualization-refinement search: an equitable partition is refined from a
 degree/triangle invariant, then the first non-singleton cell is split on each
-candidate vertex in turn.  Each refinement round counts neighbours only into
-the cells that split in the round before, leaving out the last part of each
-split cell (after an individualisation, only the new singleton), which gives
-the same cells in the same order as recounting against every cell.  Leaves
-of the search tree are complete labellings; the canonical form is the
+candidate vertex in turn.  A partition is a list of vertex masks, and each
+refinement round keys a vertex by one integer, its neighbour counts into the
+cells that just split packed four bits each (see _refine).  Leaves of the
+search tree are complete labellings; the canonical form is the
 lexicographically smallest upper-triangle encoding over all leaves.
 Branch-and-bound on the already-determined encoding prefix plus three exact
 prunings keep the tree small:
@@ -26,7 +25,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import OrderTooLargeForCanonical
-from .graph import Graph, bits, relabel
+from .graph import Graph, relabel
 from .graph6 import encode
 
 MAX_CANONICAL = 16
@@ -41,24 +40,27 @@ def vertex_keys(g: Graph) -> list[tuple[int, int]]:
     # through v is counted once for each of its two edges at v
     twice = [0] * g.n
     for u, row in enumerate(adj):
-        for w in bits(row >> (u + 1) << (u + 1)):
+        rest = row >> (u + 1) << (u + 1)
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
             common = (row & adj[w]).bit_count()
             twice[u] += common
             twice[w] += common
+            rest ^= low
     return [(row.bit_count(), t // 2) for row, t in zip(adj, twice)]
 
 
-def _initial_cells(g: Graph) -> tuple[tuple[int, ...], ...]:
-    groups: dict[tuple[int, int], list[int]] = {}
+def _initial_cells(g: Graph) -> list[int]:
+    groups: dict[tuple[int, int], int] = {}
     for v, key in enumerate(vertex_keys(g)):
-        groups.setdefault(key, []).append(v)
-    return tuple(tuple(groups[key]) for key in sorted(groups))
+        groups[key] = groups.get(key, 0) | 1 << v
+    return [groups[key] for key in sorted(groups)]
 
 
-def _refine(
-    g: Graph, cells: tuple[tuple[int, ...], ...], fresh: Sequence[int]
-) -> tuple[tuple[int, ...], ...]:
-    """Equitable refinement; cell order is an isomorphism invariant.
+def _refine(g: Graph, cells: list[int], fresh: Sequence[int]) -> list[int]:
+    """Equitable refinement of an ordered partition, given as a list of
+    vertex masks; cell order is an isomorphism invariant.
 
     Each round splits every cell by its vertices' neighbour counts into the
     fresh cells, taken in cell order, and puts the parts in ascending order
@@ -86,33 +88,30 @@ def _refine(
     the lexicographic sort."""
     adj = g.adj
     while fresh:
-        targets = [sum(1 << v for v in cells[i]) for i in fresh]
-        new_cells: list[tuple[int, ...]] = []
+        targets = [cells[i] for i in fresh]
+        new_cells: list[int] = []
         fresh = []
         for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            parts: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                row = adj[v]
-                parts.setdefault(tuple((row & t).bit_count() for t in targets), []).append(v)
-            if len(parts) == 1:
-                new_cells.append(cell)
-                continue
-            keys = sorted(parts)
-            fresh.extend(range(len(new_cells), len(new_cells) + len(keys) - 1))
-            new_cells.extend(tuple(parts[key]) for key in keys)
-        cells = tuple(new_cells)
+            if cell & (cell - 1):  # a singleton cannot split
+                parts: dict[int, int] = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    row = adj[low.bit_length() - 1]
+                    # four bits per count, first target highest: a count is
+                    # at most n - 1 <= 15, so keys sort as the count tuples
+                    key = 0
+                    for t in targets:
+                        key = key << 4 | (row & t).bit_count()
+                    parts[key] = parts.get(key, 0) | low
+                    rest ^= low
+                if len(parts) > 1:
+                    fresh.extend(range(len(new_cells), len(new_cells) + len(parts) - 1))
+                    new_cells.extend(parts[key] for key in sorted(parts))
+                    continue
+            new_cells.append(cell)
+        cells = new_cells
     return cells
-
-
-def _column(g: Graph, v: int, prefix_vertices: list[int]) -> int:
-    col = 0
-    row = g.adj[v]
-    for u in prefix_vertices:
-        col = (col << 1) | (row >> u & 1)
-    return col
 
 
 def earlier_twins(g: Graph) -> list[int]:
@@ -152,20 +151,26 @@ def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if n == 1:
         return (), (0,)
 
+    adj = g.adj
     twins = earlier_twins(g)
     best_enc: list[int] | None = None
-    best_cells: tuple[tuple[int, ...], ...] | None = None
+    best_cells: list[int] | None = None
 
-    def visit(cells: tuple[tuple[int, ...], ...], prefix: list[int]) -> None:
+    def visit(cells: list[int], prefix: list[int]) -> None:
         nonlocal best_enc, best_cells
-        k = 0
-        while k < len(cells) and len(cells[k]) == 1:
-            k += 1
-        run = [cells[i][0] for i in range(k)]
-        # extend the determined encoding prefix (columns for labels 1..k-1)
-        while len(prefix) < k - 1:
-            j = len(prefix) + 1
-            prefix = prefix + [_column(g, run[j], run[:j])]
+        run = []
+        for cell in cells:
+            if cell & (cell - 1):
+                break
+            run.append(cell.bit_length() - 1)
+        k = len(run)
+        # extend this call's own prefix list by the determined columns, for
+        # labels 1..k-1: a vertex's row against the run, first label highest
+        for j in range(len(prefix) + 1, k):
+            row, col = adj[run[j]], 0
+            for u in run[:j]:
+                col = col << 1 | row >> u & 1
+            prefix.append(col)
         if best_enc is not None and prefix > best_enc[: len(prefix)]:
             return
         if k == n:
@@ -174,14 +179,6 @@ def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 best_cells = cells
             return
         cell = cells[k]
-        cols = [(_column(g, v, run), v) for v in cell]
-        low = min(c for c, _ in cols)
-        # the next encoding column of any completion is the candidate's row
-        # against the fixed prefix, so only minimal rows can win; if the prefix
-        # ties the best leaf, a minimal row worse than the best's column k loses
-        if k > 0 and best_enc is not None and prefix == best_enc[: len(prefix)]:
-            if low > best_enc[k - 1]:
-                return
         # Twins u < v of one cell: the transposition (u v) fixes every other
         # vertex, so it is an automorphism that maps this partition to itself
         # and the subtree of v onto the subtree of u, leaf for leaf with equal
@@ -190,26 +187,36 @@ def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
         # branched on before v, and u's subtree already holds the first
         # minimal leaf of the two; skipping v changes neither the encoding
         # nor the labels.  (Twins have equal rows against the prefix, so u
-        # is a candidate when v is.)
-        cell_mask = sum(1 << v for v in cell)
-        seen: set[tuple[tuple[int, ...], ...]] = set()
+        # is a candidate when v is, and the least row stays the same.)
+        cols = []
+        for v in range(n):
+            if cell >> v & 1 and not twins[v] & cell:
+                row, col = adj[v], 0
+                for u in run:
+                    col = col << 1 | row >> u & 1
+                cols.append((col, v))
+        low = min(c for c, _ in cols)
+        # the next encoding column of any completion is the candidate's row
+        # against the fixed prefix, so only minimal rows can win; if the prefix
+        # ties the best leaf, a minimal row worse than the best's column k loses
+        if k > 0 and best_enc is not None and prefix == best_enc[: len(prefix)]:
+            if low > best_enc[k - 1]:
+                return
+        seen: set[tuple[int, ...]] = set()
         for c, v in cols:
-            if c != low or twins[v] & cell_mask:
+            if c != low:
                 continue
-            rest = tuple(u for u in cell if u != v)
-            child = cells[:k] + ((v,), rest) + cells[k + 1:]
-            refined = _refine(g, child, (k,))
-            if refined in seen:
-                continue
-            seen.add(refined)
-            visit(refined, prefix + [c])
+            refined = _refine(g, cells[:k] + [1 << v, cell & ~(1 << v)] + cells[k + 1:], (k,))
+            if tuple(refined) not in seen:
+                seen.add(tuple(refined))
+                visit(refined, prefix + [c])
 
     initial = _initial_cells(g)
     visit(_refine(g, initial, range(len(initial))), [])
     assert best_enc is not None and best_cells is not None
     labels = [0] * n
     for pos, cell in enumerate(best_cells):
-        labels[cell[0]] = pos
+        labels[cell.bit_length() - 1] = pos
     return tuple(best_enc), tuple(labels)
 
 

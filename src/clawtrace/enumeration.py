@@ -9,30 +9,23 @@ built by attaching one new vertex to each parent of order k, and a child is
 kept only when deleting its canonically chosen removable vertex gives back
 exactly that parent.  Each isomorphism class therefore appears once,
 produced from one parent class, and hereditary predicates (claw-free,
-net-free, and the extended-net filter) prune the tree at every level.  One pass over bitsets
-of all 2^n attachment masks of a parent drops each mask that repeats an
-earlier one up to twins of the parent or that would close a claw, a
-(degree, triangle) key, read off tables of the parent, rejects most of the
-remaining children before any canonical search, and each child left is
-labelled once.  A kept child travels to the next level as a Graph together
-with its canonical adjacency rows, which dedup its siblings and, when the
-child is expanded, stand for the parent in the removal-rule check, so no
-parent is labelled twice; graph6 is written and read only for checkpoints.
+net-free, M-free) prune the tree at every level.  The attachment masks of
+a parent meet the cheap tests first: one pass over bitsets of all 2^n masks
+drops each mask that repeats an earlier one up to twins of the parent or
+that would close a claw; a (degree, triangle) key test, read off tables of
+the parent behind a degree floor, rejects most of the rest; only then is
+the child built, screened for an induced net or M, and labelled once.  A
+kept child travels to the next level as a Graph together with its
+canonical adjacency rows, which dedup its siblings and, when the child is
+expanded, stand for the parent in the removal-rule check, so no parent is
+labelled twice; graph6 is written and read only for checkpoints.
 Non-hereditary predicates (closed, two-connected) only gate emission.  One
 sweep builds every level once and yields the classes of each requested
 order in turn.
 
-The sampler starts from the complete graph and deletes uniformly chosen
-edges, rejecting deletions that create an induced claw or disconnect the
-graph, which concentrates samples near the dense regimes the spectral
-verifiers probe; a draw that runs out of deletable edges above the
-requested density is returned as it stands.  The sampler works in place:
-it keeps one lexicographic edge list and drops an edge from it only once
-its deletion is accepted.
-A deletion is tested locally: a new claw must use the removed pair as two
-of its leaves, so only the common non-neighbours of the pair are scanned
-for its third leaf, few on a dense graph; and the graph stays connected
-iff one endpoint still reaches the other.
+The sampler (sample_dense_claw_free) deletes uniformly chosen edges of the
+complete graph while the graph stays connected and claw-free, which
+concentrates samples near the dense regimes the spectral verifiers probe.
 """
 from __future__ import annotations
 
@@ -82,12 +75,8 @@ def _check_chain(chain: tuple[str, ...]) -> None:
 
 
 def _attach(parent: Graph, mask: int) -> Graph:
-    rows = list(parent.adj)
-    new_bit = 1 << parent.n
-    for v in bits(mask):
-        rows[v] |= new_bit
-    rows.append(mask)
-    return Graph(n=parent.n + 1, adj=tuple(rows), m=parent.m + mask.bit_count())
+    rows = [row | (mask >> v & 1) << parent.n for v, row in enumerate(parent.adj)]
+    return Graph(n=parent.n + 1, adj=(*rows, mask), m=parent.m + mask.bit_count())
 
 
 def _viable_masks(parent: Graph, chain: tuple[str, ...]) -> int:
@@ -153,19 +142,28 @@ def _rule_filter(parent: Graph, connected: bool) -> Callable[[int], list[int]]:
     when mask meets every component of parent - v; child - new is the
     parent, which is connected whenever connectivity is required, because a
     connected sweep starts from K1 and joins each new vertex to a nonempty
-    mask.
+    mask.  So when |mask| >= floor (2 in a connected sweep, 0 otherwise),
+    every non-cut vertex of the parent (every vertex, when connectivity is
+    not required) stays allowed with at least its parent degree; top is
+    the largest such degree, and floor <= |mask| < top rejects the mask
+    before any key is formed.
     """
     n = parent.n
     adj = parent.adj
     keys = vertex_keys(parent)
     pieces = separations(parent)
+    floor = 2 if connected else 0
+    top = max(d for (d, _), comps in zip(keys, pieces) if not connected or len(comps) <= 1)
 
     def candidates(mask: int) -> list[int]:
-        inner = {v: (adj[v] & mask).bit_count() for v in bits(mask)}
-        key = (len(inner), sum(inner.values()) // 2)
+        size = mask.bit_count()
+        if floor <= size < top:
+            return []
+        inner = [(row & mask).bit_count() if mask >> v & 1 else 0 for v, row in enumerate(adj)]
+        key = (size, sum(inner) // 2)
         out = []
         for v, (degree, triangles) in enumerate(keys):
-            k = (degree + 1, triangles + inner[v]) if v in inner else (degree, triangles)
+            k = (degree + 1, triangles + inner[v]) if mask >> v & 1 else (degree, triangles)
             if k < key or connected and not all(comp & mask for comp in pieces[v]):
                 continue
             if k > key:
@@ -184,8 +182,10 @@ def _expand_parent(
 
     A child is kept when deleting its removal-rule vertex gives back a graph
     isomorphic to the parent, and it is not isomorphic to a sibling already
-    kept.  Only the masks of _viable_masks are attached, in ascending order,
-    and each child that passes the key filter is labelled once; the
+    kept.  The masks of _viable_masks are taken in ascending order, and
+    each passes the key test of _rule_filter before its child is built and
+    screened by the pattern filters; all these only reject, so their order
+    keeps the same children.  Each child left is labelled once; the
     labelling gives both the rule vertex and the child's canonical rows,
     which dedup the siblings and become parent_rows when the child is
     expanded in turn, so no parent is labelled again.  child - rule is
@@ -198,13 +198,13 @@ def _expand_parent(
     seen: set[tuple[int, ...]] = set()
     out: list[Node] = []
     for mask in bits(_viable_masks(parent, chain)):
+        candidates = rule_candidates(mask)
+        if not candidates:
+            continue
         child = _attach(parent, mask)
         if "net-free" in chain and find_induced(child, _NET) is not None:
             continue
         if "m-free" in chain and find_induced(child, _M) is not None:
-            continue
-        candidates = rule_candidates(mask)
-        if not candidates:
             continue
         labels = canonical_labeling(child)[1]
         rule = max(candidates, key=labels.__getitem__)

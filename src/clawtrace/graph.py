@@ -210,7 +210,9 @@ def relabel(g: Graph, perm) -> Graph:
     rows = [0] * g.n
     for v, row in enumerate(g.adj):
         out = 0
-        for u in bits(row):
-            out |= 1 << perm[u]
+        while row:
+            low = row & -row
+            out |= 1 << perm[low.bit_length() - 1]
+            row ^= low
         rows[perm[v]] = out
     return Graph(n=g.n, adj=tuple(rows), m=g.m)

@@ -61,25 +61,16 @@ def find_induced(g: Graph, pattern: Graph) -> Optional[VertexSet]:
         for cand in range(g.n):
             if used >> cand & 1 or g.degree(cand) < pat_deg[pv]:
                 continue
-            ok = True
             for j in range(k):
-                want = pattern.adj[pv] >> order[j] & 1
-                have = g.adj[cand] >> host[j] & 1
-                if want != have:
-                    ok = False
+                if (pattern.adj[pv] >> order[j] & 1) != (g.adj[cand] >> host[j] & 1):
                     break
-            if ok:
+            else:
                 host[k] = cand
                 if extend(k + 1, used | 1 << cand):
                     return True
         return False
 
-    if extend(0, 0):
-        mask = 0
-        for v in host:
-            mask |= 1 << v
-        return mask
-    return None
+    return sum(1 << v for v in host) if extend(0, 0) else None
 
 
 def is_claw_free(g: Graph) -> bool:

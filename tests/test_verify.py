@@ -271,6 +271,8 @@ def test_sampled_mode_deterministic():
 def test_workers_do_not_change_reports():
     runs = (
         (("MainMuG", 6, 7), {}),
+        # the net-free chain: its pattern filter runs inside the workers
+        (("DGJ", 1, 8), {}),
         (("MainComplement", 24, 25), {"mode": "sample", "count": 6, "seed": 5}),
         (("HamiltonianFamily", 9, 12), {}),
     )
