@@ -63,6 +63,12 @@ EXHAUSTIVE_ORDER_SHA256 = {
         "5659fcd298c92f076f6986fde9f851d740c04a34739f239a04d5371272537c0e",
     (8, ("connected", "claw-free", "m-free")):
         "4d67f4f943b700ab727808af1800b97023bdc9ca279d2d2b991eec1bc9be1370",
+    # the same chains at order 9, 3,932 and 4,467 classes, taken at commit
+    # 4aaf151, before the pattern search was anchored at the new vertex
+    (9, ("connected", "claw-free", "net-free")):
+        "2eb98b284cfb87295daba5bc90167c83b9397a6257a3fcc3b6029576ec254145",
+    (9, ("connected", "claw-free", "m-free")):
+        "daf3815f4505c98514a764d7075c89eebacca3a34160fa4ac8940d614bb8f305",
 }
 
 # regression-only: the order-10 level of exhaustive_orders(("connected",
@@ -126,3 +132,12 @@ MARGIN_FREE_REPORTS_SHA256 = "a685f4ced3349c0340de8d03bf8f8d2db4d8ec920d325db3ac
 # The float fields are left out: their last ulp may differ across LAPACK
 # builds.
 ANALYZE_STRUCTURE_SHA256 = "77c68b888450345fab265e78f45019318c7f8878e54b82ade21238151324ede6"
+
+# regression-only: sha256 of the stdout of `clawtrace closure - --format
+# json` with test_cli._closure_corpus on stdin: the 1,145 connected
+# claw-free classes of orders 1..8 in sweep order, then every tenth of the
+# 10,000 seeded samples of acceptance test 05.  Pins each step trace (the
+# vertex completed and the pairs added, in order), not only the closed
+# graph.  Taken at commit 4aaf151, while the closure rebuilt the graph
+# after every step.
+CLOSURE_TRACE_SHA256 = "0d2431f137d98222237b6c95cee2a004263fe20002182ff900dce222b4e4778e"

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 import clawtrace
 from clawtrace import cli, graph6
-from clawtrace.enumeration import exhaustive_orders
+from clawtrace.enumeration import exhaustive_orders, sample_dense_claw_free
 from clawtrace.families import brousek, complete, nn33
 from clawtrace.graph import complement, from_edges
 from clawtrace.spectral import spectral_radius
@@ -106,6 +107,25 @@ def test_closure_steps_replay(capsys):
             edges.add((min(u, v), max(u, v)))
     replayed = from_edges(g.n, sorted(edges))
     assert replayed.adj == graph6.decode(d["closed"]).adj
+
+
+def _closure_corpus():
+    graphs = [g for level in exhaustive_orders(("connected", "claw-free"), 1, 8) for g in level]
+    # every tenth of acceptance test 05's sampled graphs, same seeds and sizes
+    for i in range(0, 10_000, 10):
+        n = 4 + (i % 13)
+        target = (n - 1) + (i * 7919) % (math.comb(n, 2) - n + 2)
+        graphs.append(sample_dense_claw_free(n, target, seed=500_000 + i))
+    return graphs
+
+
+def test_closure_trace_is_frozen(capsys, monkeypatch):
+    graphs = _closure_corpus()
+    assert len(graphs) == 2145
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(graph6.encode(g) + "\n" for g in graphs)))
+    assert cli.run(["closure", "-", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == frozen.CLOSURE_TRACE_SHA256
 
 
 def test_closure_text_already_closed(capsys):
