@@ -14,11 +14,12 @@ a parent meet the cheap tests first: one pass over bitsets of all 2^n masks
 drops each mask that repeats an earlier one up to twins of the parent or
 that would close a claw; a (degree, triangle) key test, read off tables of
 the parent behind a degree floor, rejects most of the rest; only then is
-the child built, screened for an induced net or M, and labelled once.  A
-kept child travels to the next level as a Graph together with its
-canonical adjacency rows, which dedup its siblings and, when the child is
-expanded, stand for the parent in the removal-rule check, so no parent is
-labelled twice; graph6 is written and read only for checkpoints.
+the child built, screened for an induced net or M through its new vertex
+(the parent has none), and labelled once.  A kept child travels to the
+next level as a Graph together with its canonical adjacency rows, which
+dedup its siblings and, when the child is expanded, stand for the parent in
+the removal-rule check, so no parent is labelled twice; graph6 is written
+and read only for checkpoints.
 Non-hereditary predicates (closed, two-connected) only gate emission.  One
 sweep builds every level once and yields the classes of each requested
 order in turn.
@@ -202,9 +203,9 @@ def _expand_parent(
         if not candidates:
             continue
         child = _attach(parent, mask)
-        if "net-free" in chain and find_induced(child, _NET) is not None:
+        if "net-free" in chain and find_induced(child, _NET, 1 << parent.n) is not None:
             continue
-        if "m-free" in chain and find_induced(child, _M) is not None:
+        if "m-free" in chain and find_induced(child, _M, 1 << parent.n) is not None:
             continue
         labels = canonical_labeling(child)[1]
         rule = max(candidates, key=labels.__getitem__)

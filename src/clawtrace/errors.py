@@ -33,10 +33,6 @@ class PatternTooLarge(ClawtraceError):
     pass
 
 
-class NotEligible(ClawtraceError):
-    pass
-
-
 class NotClawFree(ClawtraceError):
     pass
 

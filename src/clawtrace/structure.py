@@ -1,9 +1,11 @@
 """Forbidden-subgraph detection and the claw-free closure.
 
-The closure machinery repeatedly completes the neighborhood of an eligible
-vertex (one whose neighborhood induces a connected, non-complete subgraph)
-until no eligible vertex remains.  The selection order is lowest index first
-so step traces are reproducible; an alternative picker can be injected to
+find_induced is the one induced-pattern search; the exhaustive sweep
+anchors it at a child's new vertex, since the parent is pattern-free.  The
+closure repeatedly completes the neighborhood of an eligible vertex (one
+whose neighborhood induces a connected, non-complete subgraph) until no
+eligible vertex remains.  The selection order is lowest index first so
+step traces are reproducible; an alternative picker can be injected to
 probe order-invariance of the final graph.
 """
 from __future__ import annotations
@@ -11,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import NotClawFree, NotEligible, PatternTooLarge
+from .errors import NotClawFree, PatternTooLarge
 from .graph import (
     Graph,
     VertexSet,
     bits,
-    from_edges,
     mask_connected,
     mask_is_clique,
 )
@@ -24,53 +25,67 @@ from .graph import (
 MAX_PATTERN = 10
 
 
-def _pattern_order(p: Graph) -> list[int]:
-    # Highest-degree vertex first, then grow through neighbors when possible
-    # so partial assignments are constrained early.
-    order = [max(range(p.n), key=lambda v: p.degree(v))]
-    placed = 1 << order[0]
-    while len(order) < p.n:
-        frontier = [
-            v for v in range(p.n) if not placed >> v & 1 and p.adj[v] & placed
+def _plans(pattern: Graph) -> list[tuple[int, list[list[tuple[int, int]]]]]:
+    """For each pattern vertex p, its degree and a placement order from p:
+    p's component breadth-first, then the other vertices by index.  Each
+    position holds (i, 1 if adjacent else 0) for every earlier position i."""
+    plans = []
+    for p in range(pattern.n):
+        order, placed = [p], 1 << p
+        for q in order:  # the list grows while it is read: a queue
+            order += bits(pattern.adj[q] & ~placed)
+            placed |= pattern.adj[q]
+        order += bits(pattern.vertex_mask & ~placed)
+        steps = [
+            [(i, pattern.adj[q] >> order[i] & 1) for i in range(j)] for j, q in enumerate(order)
         ]
-        pool = frontier or [v for v in range(p.n) if not placed >> v & 1]
-        nxt = max(pool, key=lambda v: ((p.adj[v] & placed).bit_count(), p.degree(v)))
-        order.append(nxt)
-        placed |= 1 << nxt
-    return order
+        plans.append((pattern.degree(p), steps))
+    return plans
 
 
-def find_induced(g: Graph, pattern: Graph) -> Optional[VertexSet]:
-    """Vertex set of g inducing a copy of pattern, or None.
+def _place(
+    adj: tuple[int, ...], steps: list[list[tuple[int, int]]], image: list[int], j: int, free: VertexSet
+) -> bool:
+    """Fill image[j:] from the free vertices, depth first; the candidates
+    for position j are one bitset, the common neighbours of the images of
+    its earlier pattern neighbours less the neighbours of the images of its
+    earlier non-neighbours."""
+    if j == len(image):
+        return True
+    cand = free
+    for i, edge in steps[j]:
+        cand &= adj[image[i]] if edge else ~adj[image[i]]
+    for v in bits(cand):
+        image[j] = v
+        if _place(adj, steps, image, j + 1, free & ~(1 << v)):
+            return True
+    return False
 
-    Backtracking over degree-compatible assignments; both adjacency and
-    non-adjacency are enforced, so the match is induced, not just a subgraph.
+
+def find_induced(
+    g: Graph, pattern: Graph, anchors: Optional[VertexSet] = None
+) -> Optional[VertexSet]:
+    """Vertex set of g inducing a copy of pattern that meets anchors (any
+    vertex of g when anchors is None), or None.
+
+    Each anchor a is tried in turn, with the anchors before it excluded, so
+    a copy is found at its lowest anchor: each pattern vertex of degree at
+    most deg(a) is mapped to a, and _place places the rest.  Adjacency and
+    non-adjacency are both enforced, so the match is induced.
     """
     if pattern.n > MAX_PATTERN:
         raise PatternTooLarge(f"pattern order {pattern.n} exceeds {MAX_PATTERN}")
     if pattern.n > g.n:
         return None
-    order = _pattern_order(pattern)
-    host: list[int] = [0] * pattern.n
-    pat_deg = [pattern.degree(v) for v in range(pattern.n)]
-
-    def extend(k: int, used: int) -> bool:
-        if k == pattern.n:
-            return True
-        pv = order[k]
-        for cand in range(g.n):
-            if used >> cand & 1 or g.degree(cand) < pat_deg[pv]:
-                continue
-            for j in range(k):
-                if (pattern.adj[pv] >> order[j] & 1) != (g.adj[cand] >> host[j] & 1):
-                    break
-            else:
-                host[k] = cand
-                if extend(k + 1, used | 1 << cand):
-                    return True
-        return False
-
-    return sum(1 << v for v in host) if extend(0, 0) else None
+    plans = _plans(pattern)
+    free = g.vertex_mask
+    for a in bits(free if anchors is None else anchors & free):
+        free &= ~(1 << a)
+        for degree, steps in plans:
+            image = [a] * pattern.n
+            if degree <= g.degree(a) and _place(g.adj, steps, image, 1, free):
+                return sum(1 << v for v in image)
+    return None
 
 
 def is_claw_free(g: Graph) -> bool:
@@ -118,47 +133,37 @@ class ClosureResult:
     steps: tuple[ClosureStep, ...]
 
 
-def _missing_pairs(g: Graph, x: int) -> list[tuple[int, int]]:
-    nbrs = list(bits(g.adj[x]))
-    out = []
-    for i, u in enumerate(nbrs):
-        for w in nbrs[i + 1 :]:
-            if not g.adj[u] >> w & 1:
-                out.append((u, w))
-    return out
-
-
-def local_completion(g: Graph, x: int) -> tuple[Graph, ClosureStep]:
-    """Add every missing edge between neighbors of x, turning N(x) into a
-    clique.  Only defined at eligible vertices."""
-    if not is_eligible(g, x):
-        raise NotEligible(f"vertex {x} is not eligible")
-    added = tuple(_missing_pairs(g, x))
-    result = from_edges(g.n, list(g.edges()) + list(added))
-    return result, ClosureStep(vertex=x, added=added)
-
-
 def closure(
     g: Graph, pick: Callable[[list[int]], int] | None = None
 ) -> ClosureResult:
-    """Iterate local completion until no eligible vertex remains.
+    """Complete the neighborhood of an eligible vertex, in place in a list
+    of adjacency rows, until no eligible vertex remains.
 
     pick chooses among the current eligible vertices (default: lowest
-    index).  The step trace depends on pick; the closed graph should not,
-    and the tests probe that rather than assume it.
+    index).  Each step records the pairs it added in lexicographic order.
+    The step trace depends on pick; the closed graph should not, and the
+    tests probe that rather than assume it.
     """
     if not is_claw_free(g):
         raise NotClawFree("closure is defined for claw-free graphs only")
-    cur = g
+    rows = list(g.adj)
+    m = g.m
     steps: list[ClosureStep] = []
     while True:
-        eligible = [x for x in range(cur.n) if is_eligible(cur, x)]
+        cur = Graph(n=g.n, adj=tuple(rows), m=m)
+        eligible = [x for x in range(g.n) if is_eligible(cur, x)]
         if not eligible:
-            break
+            return ClosureResult(closed=cur, steps=tuple(steps))
         x = eligible[0] if pick is None else pick(eligible)
-        cur, step = local_completion(cur, x)
-        steps.append(step)
-    return ClosureResult(closed=cur, steps=tuple(steps))
+        row = rows[x]
+        added: list[tuple[int, int]] = []
+        for u in bits(row):
+            # each row of N(x) is completed in its own turn, so rows[u]
+            # still holds its old bits when its missing pairs are read
+            added += ((u, w) for w in bits(row & ~rows[u] >> (u + 1) << (u + 1)))
+            rows[u] |= row & ~(1 << u)
+        m += len(added)
+        steps.append(ClosureStep(vertex=x, added=tuple(added)))
 
 
 def is_closed(g: Graph) -> bool:

@@ -213,23 +213,10 @@ def is_spanning_subgraph_of_pendant_family(g: Graph) -> bool:
     if len(cand) < 3:
         return False
     for trio in combinations(cand, 3):
-        tmask = 0
-        for v in trio:
-            tmask |= 1 << v
-        nbrs: set[int] = set()
-        ok = True
-        for v in trio:
-            row = g.adj[v]
-            if row & tmask:
-                ok = False
-                break
-            if row:
-                w = next(bits(row))
-                if w in nbrs:
-                    ok = False
-                    break
-                nbrs.add(w)
-        if ok:
+        tmask = sum(1 << v for v in trio)
+        # a row of degree <= 1 is its one neighbour's bit, or 0
+        rows = [g.adj[v] for v in trio if g.adj[v]]
+        if not any(row & tmask for row in rows) and len(set(rows)) == len(rows):
             return True
     return False
 
@@ -283,15 +270,11 @@ def _complement_threshold(n: int) -> float:
 
 
 def _degree_sum_nonadjacent_max(g: Graph) -> Optional[int]:
-    best = None
     degs = g.degrees()
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
-                s = degs[u] + degs[v]
-                if best is None or s > best:
-                    best = s
-    return best
+    return max(
+        (degs[u] + degs[v] for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)),
+        default=None,
+    )
 
 
 def _bounds_hold(g: Graph) -> bool:

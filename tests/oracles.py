@@ -120,12 +120,15 @@ def _induced_matches(g: Graph, vertices: tuple[int, ...], pattern: Graph) -> boo
     return False
 
 
-def find_induced_brute(g: Graph, pattern: Graph) -> bool:
+def find_induced_brute(g: Graph, pattern: Graph, anchors: int | None = None) -> bool:
+    """Some pattern.n-subset of g, meeting anchors when given, induces
+    pattern under some ordering of its vertices."""
     if pattern.n > g.n:
         return False
     return any(
         _induced_matches(g, combo, pattern)
         for combo in itertools.combinations(range(g.n), pattern.n)
+        if anchors is None or any(anchors >> v & 1 for v in combo)
     )
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clawtrace.errors import NotClawFree, NotEligible, PatternTooLarge
+from clawtrace.errors import NotClawFree, PatternTooLarge
 from clawtrace.families import claw, complete, graph_l, graph_m, net, nn33, star
 from clawtrace.graph import from_edges, induced, is_complete, relabel
 from clawtrace.hamilton import has_hamilton_path
@@ -12,7 +12,6 @@ from clawtrace.structure import (
     is_claw_free,
     is_closed,
     is_eligible,
-    local_completion,
 )
 
 from oracles import (
@@ -44,16 +43,21 @@ def test_claw_free_named_graphs():
 
 def test_find_induced_agrees_with_subset_scan():
     rng = np.random.default_rng(67)
-    patterns = [claw(), net(), cycle_graph(4), cycle_graph(5), complete(3)]
-    for _ in range(150):
+    two_k2 = from_edges(4, [(0, 1), (2, 3)])
+    k1_k3 = from_edges(4, [(1, 2), (1, 3), (2, 3)])
+    patterns = [claw(), net(), cycle_graph(4), cycle_graph(5), complete(3), two_k2, k1_k3]
+    for _ in range(400):
         host = random_graph(rng, int(rng.integers(4, 10)), rng.random())
         pattern = patterns[int(rng.integers(len(patterns)))]
-        hit = find_induced(host, pattern)
-        assert (hit is not None) == find_induced_brute(host, pattern)
+        # half the searches anchored at a random nonempty vertex set
+        anchors = None if rng.random() < 0.5 else int(rng.integers(1, 1 << host.n))
+        hit = find_induced(host, pattern, anchors)
+        assert (hit is not None) == find_induced_brute(host, pattern, anchors)
         if hit is not None:
-            # the returned mask really induces the pattern
+            # the returned mask really induces the pattern and meets anchors
             assert hit.bit_count() == pattern.n
             assert brute_force_isomorphic(induced(host, hit), pattern)
+            assert anchors is None or hit & anchors
 
 
 def test_find_induced_pattern_cap():
@@ -70,14 +74,11 @@ def test_induced_net_in_pendant_family():
 def test_eligibility_and_local_completion():
     wheelish = from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)])
     assert is_eligible(wheelish, 0)
-    done, step = local_completion(wheelish, 0)
-    assert step.vertex == 0
-    assert set(step.added) == {(1, 3), (1, 4), (2, 4)}
-    assert is_complete(done)
-    with pytest.raises(NotEligible):
-        local_completion(net(), 0)  # neighborhood disconnected
-    with pytest.raises(NotEligible):
-        local_completion(complete(4), 1)  # neighborhood already complete
+    assert not is_eligible(net(), 0)  # neighborhood disconnected
+    assert not is_eligible(complete(4), 1)  # neighborhood already complete
+    result = closure(wheelish)
+    assert [(s.vertex, s.added) for s in result.steps] == [(0, ((1, 3), (1, 4), (2, 4)))]
+    assert is_complete(result.closed)
 
 
 def test_closure_requires_claw_free():
