@@ -31,6 +31,7 @@ concentrates samples near the dense regimes the spectral verifiers probe.
 from __future__ import annotations
 
 from contextlib import ExitStack
+from functools import cache
 from multiprocessing import Pool
 from typing import Callable, Iterator, TextIO
 
@@ -338,6 +339,12 @@ def exhaustive_orders(
                 yield [g for g, _ in frontier if _emission_ok(g, chain)]
 
 
+@cache
+def _complete_edges(n: int) -> tuple[tuple[int, int], ...]:
+    """The edges of K_n in lexicographic order, built on first use."""
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
+
+
 def sample_dense_claw_free(n: int, target_m: int, seed: int) -> Graph:
     """Delete uniformly chosen edges from K_n down to target_m, rejecting
     any deletion that creates an induced claw or disconnects the graph.
@@ -352,42 +359,45 @@ def sample_dense_claw_free(n: int, target_m: int, seed: int) -> Graph:
     full = (1 << n) - 1
     rows = [full & ~(1 << v) for v in range(n)]
 
-    def creates_claw(u: int, v: int) -> bool:
-        # any new claw uses the fresh non-edge (u, v) as a leaf pair, so it
-        # is a common neighbor c of u and v plus a third leaf w outside
-        # N[u] | N[v] adjacent to c; on a dense graph few such w exist
-        common = rows[u] & rows[v]
-        if not common:
-            return False
-        for w in bits(full & ~(rows[u] | rows[v]) & ~(1 << u | 1 << v)):
-            if rows[w] & common:
-                return True
-        return False
-
-    def still_connected(u: int, v: int) -> bool:
-        # the graph was connected with u-v, so it still is iff u reaches v
-        nv = rows[v]
+    def deletable(u: int, v: int) -> bool:
+        # with u-v gone, a common neighbour c of u and v keeps them joined,
+        # and any new claw has the fresh non-edge as a leaf pair, so it is
+        # such a c plus a third leaf w outside N[u] | N[v] adjacent to c;
+        # without a common neighbour there is no new claw, and the graph,
+        # connected with u-v, stays connected iff u still reaches v
+        nu, nv = rows[u], rows[v]
+        common = nu & nv
+        if common:
+            rest = full & ~(nu | nv) & ~(1 << u | 1 << v)
+            while rest:
+                low = rest & -rest
+                if rows[low.bit_length() - 1] & common:
+                    return False
+                rest ^= low
+            return True
         seen = frontier = 1 << u
         while frontier:
             if frontier & nv:
                 return True
             reach = 0
-            for w in bits(frontier):
-                reach |= rows[w]
+            while frontier:
+                low = frontier & -frontier
+                reach |= rows[low.bit_length() - 1]
+                frontier ^= low
             frontier = reach & ~seen
             seen |= frontier
         return False
 
     # the current edges in lexicographic order; a deletion keeps the order,
     # so each draw permutes the same list the graph's edges would give
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = list(_complete_edges(n))
     m = len(edges)
     while m > target_m:
         for idx in rng.permutation(m):
             u, v = edges[idx]
             rows[u] &= ~(1 << v)
             rows[v] &= ~(1 << u)
-            if creates_claw(u, v) or not still_connected(u, v):
+            if not deletable(u, v):
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
                 continue

@@ -11,6 +11,7 @@ probe order-invariance of the final graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .errors import NotClawFree, PatternTooLarge
@@ -25,10 +26,13 @@ from .graph import (
 MAX_PATTERN = 10
 
 
+@lru_cache(maxsize=64)
 def _plans(pattern: Graph) -> list[tuple[int, list[list[tuple[int, int]]]]]:
     """For each pattern vertex p, its degree and a placement order from p:
     p's component breadth-first, then the other vertices by index.  Each
-    position holds (i, 1 if adjacent else 0) for every earlier position i."""
+    position holds (i, 1 if adjacent else 0) for every earlier position i.
+    Built once per pattern (a sweep asks about the same one thousands of
+    times); callers only read the lists."""
     plans = []
     for p in range(pattern.n):
         order, placed = [p], 1 << p

@@ -6,7 +6,12 @@ A verification run PASSES when every exception is matched; an Unmatched
 entry is a potential counterexample and fails the run.  Each numeric
 statement is declared once, as a signed margin that is positive on the
 statement's side together with its error bound; verify and hunt judge every
-graph by the same rule (_verdict), and cmp_tol reaches nothing else.  Each
+graph by the same rule (_verdict), and cmp_tol reaches nothing else.  A
+spectral margin also declares a lower bound on itself from degrees alone
+(Hofmeister's sqrt(sum of d^2 / n) <= mu(g) above a threshold; the largest
+complement degree n - 1 - delta(g) >= mu(complement) below one), and a
+bound that clears the slack settles YES without the eigensolver; NO and
+borderline verdicts always come from the margin itself.  Each
 conclusion is a function of the graph alone; without a margin every graph
 satisfies the hypothesis, so LBZ states its block-chain condition in its
 conclusion.  For a theorem the margin is its hypothesis: borderline graphs
@@ -17,13 +22,14 @@ as an exception, and a borderline one also as borderline.  A request that
 verify or hunt cannot serve raises InfeasibleSpec, as the sources do.
 
 Traceability is decided by an exact cascade, cheapest certificate first:
-the degree-sum path closure of the graph itself, structural
-no-certificates, the claw-free closure followed by the path closure, a
-rotation-extension path search, and the exact solver up to order 24.  Both
-closures preserve traceability exactly, so every cascade answer is a
-certificate; a graph the cascade cannot decide (sampled orders above 24)
-is reported as Unmatched, which fails the run rather than silently passing
-it.
+a degree-pair test (the two smallest degrees sum to n - 1, so the path
+closure below is complete at once), the degree-sum path closure of the
+graph itself, structural no-certificates, the claw-free closure followed
+by the path closure, a rotation-extension path search, and the exact
+solver up to order 24.  Both closures preserve traceability exactly, so
+every cascade answer is a certificate; a graph the cascade cannot decide
+(sampled orders above 24) is reported as Unmatched, which fails the run
+rather than silently passing it.
 """
 from __future__ import annotations
 
@@ -141,20 +147,25 @@ def _rotation_path(g: Graph) -> Optional[list[int]]:
 def decide_traceable(g: Graph) -> Optional[bool]:
     """True/False with certainty, or None when undecided.
 
-    The cascade runs in this order: the degree-sum path closure of g, the
-    structural no-certificates, the claw-free closure followed by the path
-    closure, a rotation-extension path search in the closed graph, and the
-    exact solver for n <= 24.  Every answer is exact: the no-certificates
-    are necessary conditions, and both closures preserve traceability, so
-    a closure reaching the complete graph or a concrete path found in the
-    closed graph certifies the original.
+    The cascade runs in this order: the degree-pair test, the degree-sum
+    path closure of g, the structural no-certificates, the claw-free
+    closure followed by the path closure, a rotation-extension path search
+    in the closed graph, and the exact solver for n <= 24.  Every answer is
+    exact: the no-certificates are necessary conditions, and both closures
+    preserve traceability, so a closure reaching the complete graph or a
+    concrete path found in the closed graph certifies the original.
     """
     # The (n-1)-closure preserves Hamilton paths (Bondy-Chvatal) and is
     # monotone: G a subgraph of H gives cl(G) a subgraph of cl(H).  So when
     # cl(g) is complete, g is traceable, no no-certificate below can fire,
     # and the path closure of any supergraph of g, the claw-free closure
     # included, is complete too: the full cascade would answer True as
-    # well, at every order.  Dense samples almost always stop here.
+    # well, at every order.  Dense samples almost always stop here, most of
+    # them before the closure adds an edge: when the two smallest degrees
+    # sum to n - 1, so does every nonadjacent pair, and the first pass
+    # completes the graph (K1 has no pair and is traceable).
+    if g.n < 2 or sum(sorted(g.degrees())[:2]) >= g.n - 1:
+        return True
     path_closed = _path_closure(g)
     if is_complete(path_closed):
         return True
@@ -245,16 +256,28 @@ def _verdict(margin: float, error: Optional[float], cmp_tol: float) -> str:
     return BORDER
 
 
-def _radius_above(g: Graph, threshold: float) -> tuple[float, float]:
-    # margin of mu(g) >= threshold, with the eigensolver's error bound
-    est = spectral_radius(g)
-    return est.value - threshold, est.residual
+def _radius_above(threshold: Callable[[int], float]) -> dict:
+    """The margin of mu(g) >= threshold(n), with the eigensolver's error
+    bound, and a lower bound on it from degrees alone: Hofmeister's
+    sqrt(sum of d^2 / n) <= mu(g)."""
+
+    def margin(g: Graph) -> tuple[float, float]:
+        est = spectral_radius(g)
+        return est.value - threshold(g.n), est.residual
+
+    return {"margin": margin, "bound": lambda g: hofmeister_bound(g) - threshold(g.n)}
 
 
-def _complement_radius_below(g: Graph, threshold: float) -> tuple[float, float]:
-    # margin of mu(complement of g) <= threshold
-    est = spectral_radius(complement(g))
-    return threshold - est.value, est.residual
+def _complement_radius_below(threshold: Callable[[int], float]) -> dict:
+    """The margin of mu(complement of g) <= threshold(n), and a lower bound
+    on it from degrees alone: no radius exceeds the largest degree, which in
+    the complement is n - 1 - delta(g)."""
+
+    def margin(g: Graph) -> tuple[float, float]:
+        est = spectral_radius(complement(g))
+        return threshold(g.n) - est.value, est.residual
+
+    return {"margin": margin, "bound": lambda g: threshold(g.n) - (g.n - 1 - g.min_degree())}
 
 
 def _complement_threshold(n: int) -> float:
@@ -326,6 +349,9 @@ class TheoremSpec:
     # margin is an exact integer); without one, every graph of the corpus
     # satisfies the hypothesis
     margin: Callable[[Graph], tuple[float, Optional[float]]] | None = None
+    # a lower bound on a float margin that needs no eigensolver; when it
+    # clears the slack, the verdict is YES without the margin itself
+    bound: Callable[[Graph], float] | None = None
     exception_families: Callable[[int], list[FamilySpec]] = _no_families
     exception_rule: str = "isomorphic"  # or "pendant-spanning-subgraph"
     # the graphs of a constructed family sweep at order n; such a sweep
@@ -334,8 +360,17 @@ class TheoremSpec:
 
 
 def _judge(spec: TheoremSpec, g: Graph, cmp_tol: float) -> tuple[str, Optional[float]]:
-    """The hypothesis verdict on g and its margin (None without a margin)."""
+    """The hypothesis verdict on g and its margin (None without a margin,
+    and for a YES settled by the spec's bound).
+
+    A bound above cmp_tol + BOUND_SLACK settles YES: BOUND_SLACK dwarfs the
+    eigensolver's error EPS * mu (about 1.4e-14 at n = 64), so the margin
+    would clear the slack of _verdict too.  NO and borderline verdicts
+    always come from the margin itself.
+    """
     if spec.margin is None:
+        return YES, None
+    if spec.bound is not None and spec.bound(g) > cmp_tol + BOUND_SLACK:
         return YES, None
     margin, error = spec.margin(g)
     return _verdict(margin, error, cmp_tol), margin
@@ -371,7 +406,7 @@ def _register(spec: TheoremSpec) -> None:
 _register(
     TheoremSpec(
         id="FiedlerNikiforov1",
-        margin=lambda g: _radius_above(g, g.n - 2),
+        **_radius_above(lambda n: n - 2),
         chain=(),
         floor_n=2,
         exception_families=_cpi_family,
@@ -380,7 +415,7 @@ _register(
 _register(
     TheoremSpec(
         id="FiedlerNikiforov2",
-        margin=lambda g: _complement_radius_below(g, math.sqrt(g.n - 1)),
+        **_complement_radius_below(lambda n: math.sqrt(n - 1)),
         chain=(),
         floor_n=2,
         exception_families=_cpi_family,
@@ -389,7 +424,7 @@ _register(
 _register(
     TheoremSpec(
         id="LuLiuTian",
-        margin=lambda g: _radius_above(g, math.sqrt((g.n - 3) ** 2 + 3)),
+        **_radius_above(lambda n: math.sqrt((n - 3) ** 2 + 3)),
         chain=("connected",),
         floor_n=7,
     )
@@ -397,7 +432,7 @@ _register(
 _register(
     TheoremSpec(
         id="NingGe",
-        margin=lambda g: _radius_above(g, g.n - 3),
+        **_radius_above(lambda n: n - 3),
         chain=("connected",),
         floor_n=7,
         exception_families=_ning_ge_family,
@@ -406,7 +441,7 @@ _register(
 _register(
     TheoremSpec(
         id="MainMuG",
-        margin=lambda g: _radius_above(g, g.n - 4),
+        **_radius_above(lambda n: n - 4),
         chain=("connected", "claw-free"),
         floor_n=2,
         exception_families=_nn33_family,
@@ -415,7 +450,7 @@ _register(
 _register(
     TheoremSpec(
         id="MainComplement",
-        margin=lambda g: _complement_radius_below(g, _complement_threshold(g.n)),
+        **_complement_radius_below(_complement_threshold),
         chain=("connected", "claw-free"),
         floor_n=24,
         exception_families=_nn33_family,
@@ -495,7 +530,7 @@ _register(
     TheoremSpec(
         id="HamiltonianFamily",
         # the claim mu > n - 7 of each blown-up Brousek graph
-        margin=lambda g: _radius_above(g, g.n - 7),
+        **_radius_above(lambda n: n - 7),
         chain=(),
         floor_n=9,
         conclusion=_blown_properties_hold,

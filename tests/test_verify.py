@@ -20,8 +20,9 @@ from clawtrace.families import (
     ning_ge,
     nn33,
 )
-from clawtrace.graph import disjoint_union, from_edges, join, relabel
+from clawtrace.graph import disjoint_union, from_edges, is_complete, join, relabel
 from clawtrace.hamilton import has_hamilton_path
+from clawtrace.structure import is_claw_free
 from clawtrace.enumeration import sample_dense_claw_free
 from clawtrace.spectral import (
     DEFAULT_CMP_TOL,
@@ -38,6 +39,7 @@ from clawtrace.verify import (
     _exception_label,
     _is_pendant_family,
     _judge,
+    _path_closure,
     _verdict,
     decide_traceable,
     hunt,
@@ -47,7 +49,13 @@ from clawtrace.verify import (
 )
 
 import frozen
-from oracles import adjacency, compare_threshold, exhaustive_list, random_graph
+from oracles import (
+    adjacency,
+    compare_threshold,
+    exhaustive_list,
+    hamilton_path_brute,
+    random_graph,
+)
 
 
 def cycle_graph(n):
@@ -82,6 +90,43 @@ def test_decide_traceable_beyond_exact_range():
     spider = join(complete(1), disjoint_union(complete(9), disjoint_union(complete(8), complete(8))))
     assert decide_traceable(spider) is False  # cut vertex leaves 3 components
     assert decide_traceable(cycle_graph(30)) is True
+
+
+def test_degree_pair_test_answers_only_when_the_closure_is_complete():
+    # decide_traceable answers True before the path closure when the two
+    # smallest degrees sum to n - 1: then every nonadjacent pair does, the
+    # closure is complete at once, and g is traceable
+    rng = np.random.default_rng(2323)
+    fired = 0
+    for n in range(1, 25):
+        for p in (0.5, 0.7, 0.85, 0.95):
+            g = random_graph(rng, n, p)
+            if n > 1 and sum(sorted(g.degrees())[:2]) < n - 1:
+                continue
+            fired += 1
+            assert is_complete(_path_closure(g)), g
+            assert hamilton_path_brute(g), g
+            if n <= 20:  # the exact solver slows down past this order
+                assert has_hamilton_path(g), g
+            assert decide_traceable(g) is True
+    assert fired >= 40
+    # at n - 2 the test must not fire: two disjoint copies of K_a are not
+    # traceable, and the same copies joined by one edge are; the cascade
+    # decides both, and random graphs at this boundary agree with the solver
+    for a in range(1, 8):
+        apart = disjoint_union(complete(a), complete(a))
+        bridged = from_edges(2 * a, [*apart.edges(), (a - 1, a)])
+        for g, want in ((apart, False), (bridged, True)):
+            assert decide_traceable(g) is want and has_hamilton_path(g) is want, (a, g)
+            if a >= 3:
+                assert sum(sorted(g.degrees())[:2]) == g.n - 2
+    boundary = 0
+    while boundary < 30:
+        n = int(rng.integers(4, 15))
+        g = random_graph(rng, n, rng.uniform(0.3, 0.9))
+        if sum(sorted(g.degrees())[:2]) == n - 2:
+            boundary += 1
+            assert decide_traceable(g) == has_hamilton_path(g), g
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +617,11 @@ def test_registry_matches_the_statement_table(corpus):
         for theorem in STATEMENTS:
             for tol in (1e-9, 0.5):
                 want, want_margin = _statement_verdict(theorem, q, g.n, tol)
-                verdict, margin = _judge(REGISTRY[theorem], g, tol)
+                verdict, _ = _judge(REGISTRY[theorem], g, tol)
                 assert verdict == want, (theorem, g, tol)
+                # a YES may come from a degree bound without a margin, so
+                # the margin's value is checked on the margin itself
+                margin, _ = REGISTRY[theorem].margin(g)
                 assert isinstance(margin, float)
                 if want_margin == -math.inf:  # the registry's K_n margin is -n
                     assert margin < 0
@@ -583,6 +631,49 @@ def test_registry_matches_the_statement_table(corpus):
     # the graphs reach both sides of every threshold
     for theorem in STATEMENTS:
         assert {(theorem, "yes"), (theorem, "no")} <= verdicts, theorem
+
+
+def _squared_cycle(n):
+    return from_edges(n, [(i, (i + d) % n) for i in range(n) for d in (1, 2)])
+
+
+def test_degree_bounds_settle_only_what_the_eigensolver_would():
+    # _judge settles a YES from a degree bound before it calls the
+    # eigensolver; its verdict must equal the verdict of the margin itself
+    spectral = [t for t, spec in REGISTRY.items() if spec.bound is not None]
+    assert sorted(spectral) == sorted(
+        ["FiedlerNikiforov1", "FiedlerNikiforov2", "LuLiuTian", "NingGe", "MainMuG",
+         "MainComplement", "HamiltonianFamily"]
+    )
+    rng = np.random.default_rng(4141)
+    graphs = [
+        random_graph(rng, n, p) for n in range(2, 31) for p in (0.3, 0.6, 0.8, 0.9, 0.97, 1.0)
+    ]
+    settled = {t: 0 for t in spectral}
+    computed = {t: 0 for t in spectral}
+    for g in graphs:
+        for t in spectral:
+            spec = REGISTRY[t]
+            if g.n < spec.floor_n:
+                continue
+            margin, error = spec.margin(g)
+            for tol in (0.0, 1e-9, 0.5, 3.0):
+                verdict, got = _judge(spec, g, tol)
+                assert verdict == _verdict(margin, error, tol), (t, g, tol)
+                if got is None:
+                    settled[t] += 1
+                else:
+                    computed[t] += 1
+                    assert got == margin
+    # both paths are taken by every spectral statement
+    assert all(settled.values()) and all(computed.values()), (settled, computed)
+    # C8^2 is 4-regular and claw-free: its Hofmeister bound is exactly
+    # n - 4, so it falls through to the eigensolver and is borderline
+    c8 = _squared_cycle(8)
+    assert c8.degrees() == [4] * 8 and is_claw_free(c8)
+    spec = REGISTRY["MainMuG"]
+    assert spec.bound(c8) == 0.0
+    assert _judge(spec, c8, DEFAULT_CMP_TOL) == (BORDER, spec.margin(c8)[0])
 
 
 def test_verdict_margins():
