@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import OrderTooLargeForCanonical
+from .errors import OrderOutOfRange
 from .graph import Graph, relabel
 from .graph6 import encode
 
@@ -144,7 +144,7 @@ def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     gives (0, 1) against columns (1, 3), C5 gives (0, 0, 5, 12) against
     (0, 1, 5, 12)."""
     if g.n > MAX_CANONICAL:
-        raise OrderTooLargeForCanonical(
+        raise OrderOutOfRange(
             f"canonical labelling capped at n <= {MAX_CANONICAL}, got {g.n}"
         )
     n = g.n

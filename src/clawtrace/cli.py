@@ -12,14 +12,14 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import graph6
 from .enumeration import _run_sample, exhaustive_orders
-from .errors import ClawtraceError
+from .errors import ClawtraceError, InfeasibleSpec
 from .families import FamilySpec, make
 from .families import graph_l, graph_m, net
-from .graph import Graph, complement, components, is_block_chain, separations
+from .graph import Graph, complement, components, is_block_chain, is_complete, separations
 from .hamilton import MAX_EXACT, has_hamilton_cycle, has_hamilton_path
 from .spectral import DEFAULT_CMP_TOL, hofmeister_bound, hong_bound, spectral_radius
 from .structure import closure, find_induced, is_claw_free, is_closed
@@ -66,7 +66,7 @@ def _resolve_theorem(name: str) -> str:
         return _THEOREMS[name]
     if name in REGISTRY:
         return name
-    raise ClawtraceError(
+    raise InfeasibleSpec(
         f"unknown theorem {name!r}; choices: {', '.join(sorted(_THEOREMS))}"
     )
 
@@ -151,7 +151,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
             print(json.dumps({
                 "graph6": graph6.encode(g),
                 "closed": graph6.encode(result.closed),
-                "complete": result.closed.m == result.closed.n * (result.closed.n - 1) // 2,
+                "complete": is_complete(result.closed),
                 "steps": steps,
             }))
         else:
@@ -166,7 +166,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     if args.family not in _FAMILIES:
-        raise ClawtraceError(
+        raise InfeasibleSpec(
             f"unknown family {args.family!r}; choices: {', '.join(sorted(_FAMILIES))}"
         )
     spec = FamilySpec(_FAMILIES[args.family], tuple(args.params))
@@ -211,7 +211,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
     if args.mode == "sample":
         if args.checkpoint is not None:
-            raise ClawtraceError("checkpoint applies to exhaustive mode only")
+            raise InfeasibleSpec("checkpoint applies to exhaustive mode only")
         _run_sample(args.n, chain, args.count, args.seed, args.density, emit)
     else:
         for graphs in exhaustive_orders(chain, args.n, args.n, args.workers, args.checkpoint):
@@ -220,7 +220,20 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_lines(d: dict, passed: bool) -> None:
+def _finish(args: argparse.Namespace, report, text: Callable[[dict], None]) -> int:
+    """The tail verify and hunt share: the JSON report with its verdict, or
+    the text lines and a result line; exit 1 when the run failed."""
+    d = report.to_dict()
+    if args.format == "json":
+        d["passed"] = report.passed
+        print(json.dumps(d))
+    else:
+        text(d)
+        print(f"result: {'PASS' if report.passed else 'FAIL'}")
+    return 0 if report.passed else 1
+
+
+def _verify_lines(d: dict) -> None:
     for key in ("theorem", "n_range", "mode", "checked", "seed"):
         if d.get(key) is not None:
             print(f"{key}: {d[key]}")
@@ -231,7 +244,18 @@ def _report_lines(d: dict, passed: bool) -> None:
     for g6_str in d["borderline"]:
         print(f"  {g6_str}")
     print(f"elapsed_ms: {d['elapsed_ms']}")
-    print(f"result: {'PASS' if passed else 'FAIL'}")
+
+
+def _hunt_lines(d: dict) -> None:
+    print(f"theorem: {d['theorem']}")
+    print(f"n: {d['n']}")
+    print(f"checked: {d['checked']}")
+    print(f"counterexamples ({len(d['counterexamples'])}):")
+    for g6_str, label in d["counterexamples"]:
+        print(f"  {g6_str}  {label}")
+    print(f"near misses ({len(d['near_misses'])}):")
+    for g6_str, margin in d["near_misses"]:
+        print(f"  {g6_str}  margin={margin:+.6f}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -246,13 +270,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         workers=args.workers,
         cmp_tol=args.cmp_tol,
     )
-    if args.format == "json":
-        d = report.to_dict()
-        d["passed"] = report.passed
-        print(json.dumps(d))
-    else:
-        _report_lines(report.to_dict(), report.passed)
-    return 0 if report.passed else 1
+    return _finish(args, report, _verify_lines)
 
 
 def _cmd_hunt(args: argparse.Namespace) -> int:
@@ -265,22 +283,7 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         top=args.top,
         cmp_tol=args.cmp_tol,
     )
-    if args.format == "json":
-        d = report.to_dict()
-        d["passed"] = report.passed
-        print(json.dumps(d))
-    else:
-        print(f"theorem: {report.theorem}")
-        print(f"n: {report.n}")
-        print(f"checked: {report.checked}")
-        print(f"counterexamples ({len(report.counterexamples)}):")
-        for g6_str, label in report.counterexamples:
-            print(f"  {g6_str}  {label}")
-        print(f"near misses ({len(report.near_misses)}):")
-        for g6_str, margin in report.near_misses:
-            print(f"  {g6_str}  margin={margin:+.6f}")
-        print(f"result: {'PASS' if report.passed else 'FAIL'}")
-    return 0 if report.passed else 1
+    return _finish(args, report, _hunt_lines)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +302,15 @@ def build_parser() -> argparse.ArgumentParser:
                             default=os.environ.get("CMP_TOL", DEFAULT_CMP_TOL),
                             help="threshold comparison tolerance (default "
                                  "%(default)s; set by CMP_TOL when present)")
+    # the graph source options that enumerate and verify share
+    sources = argparse.ArgumentParser(add_help=False)
+    sources.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
+    sources.add_argument("--count", type=int, default=None)
+    sources.add_argument("--seed", type=int, default=None)
+    sources.add_argument("--density", type=float, default=0.9)
+    sources.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                         help="processes for the exhaustive sweep; every other "
+                              "graph source ignores it")
 
     parser = argparse.ArgumentParser(
         prog="clawtrace",
@@ -328,33 +340,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complement", action="store_true")
     p.set_defaults(func=_cmd_spectral)
 
-    p = sub.add_parser("enumerate", parents=[common],
+    p = sub.add_parser("enumerate", parents=[common, sources],
                        help="stream one graph6 line per isomorphism class")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--predicates", nargs="*",
                    default=["connected", "claw-free"],
                    help="connected claw-free net-free m-free closed two-connected")
-    p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--density", type=float, default=0.9)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="processes for the exhaustive sweep; sample mode ignores it")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("verify", parents=[common, tolerances],
+    p = sub.add_parser("verify", parents=[common, tolerances, sources],
                        help="run one theorem verifier over an order range")
     p.add_argument("theorem", help=", ".join(sorted(_THEOREMS)))
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--density", type=float, default=0.9)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="processes for the exhaustive sweep; sample mode and "
-                        "constructed families ignore it")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("hunt", parents=[common, tolerances],

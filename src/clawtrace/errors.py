@@ -1,49 +1,29 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit: one class per thing a caller
+can act on.  Every message names the fault in full, so a caller that needs
+more than the class reads the message."""
 
 
 class ClawtraceError(Exception):
-    pass
-
-
-class OrderOutOfRange(ClawtraceError):
-    """Graph order outside 1..64 (adjacency rows are packed into 64-bit words)."""
-
-
-class LoopEdge(ClawtraceError):
-    pass
-
-
-class VertexOutOfRange(ClawtraceError):
-    pass
-
-
-class EmptySet(ClawtraceError):
-    pass
-
-
-class DisconnectedInput(ClawtraceError):
-    pass
-
-
-class OrderTooLargeForCanonical(ClawtraceError):
-    """Canonical labelling is exact and exponential; capped at n <= 16."""
-
-
-class PatternTooLarge(ClawtraceError):
-    pass
-
-
-class NotClawFree(ClawtraceError):
-    pass
-
-
-class OrderTooLargeForExact(ClawtraceError):
-    """Exact Hamilton decision is subset DP; capped at n <= 24."""
+    """Base of every error the package raises; the CLI prints its message
+    and exits 2."""
 
 
 class InvalidParams(ClawtraceError):
-    pass
+    """An argument the function cannot take: a loop or an out-of-range
+    vertex in an edge list, an empty vertex set, a disconnected graph where
+    a connected one is required, a pattern above the search's order, a
+    malformed graph6 string, or family parameters outside the family."""
+
+
+class OrderOutOfRange(ClawtraceError):
+    """A graph order outside what the function handles: 1..64 for any graph
+    (adjacency rows are packed into 64-bit words), n <= 16 for canonical
+    labelling and n <= 24 for the exact Hamilton search."""
+
+
+class NotClawFree(ClawtraceError):
+    """The claw-free closure, or closedness, asked of a graph with a claw."""
 
 
 class InfeasibleSpec(ClawtraceError):
-    """A request that verify, hunt or a graph source cannot serve."""
+    """A request that verify, hunt, a graph source or the CLI cannot serve."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import EmptySet, LoopEdge, OrderOutOfRange, VertexOutOfRange
+from .errors import InvalidParams, OrderOutOfRange
 
 VertexSet = int
 
@@ -70,9 +70,9 @@ def from_edges(n: int, edges) -> Graph:
     rows = [0] * n
     for u, v in edges:
         if u == v:
-            raise LoopEdge(f"loop at vertex {u}")
+            raise InvalidParams(f"loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
-            raise VertexOutOfRange(f"edge ({u},{v}) outside 0..{n - 1}")
+            raise InvalidParams(f"edge ({u},{v}) outside 0..{n - 1}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return _from_rows(n, rows)
@@ -107,7 +107,7 @@ def induced(g: Graph, subset: VertexSet) -> Graph:
     """Induced subgraph on the vertices of `subset`, relabelled in mask order."""
     verts = list(bits(subset & g.vertex_mask))
     if not verts:
-        raise EmptySet("induced subgraph on empty vertex set")
+        raise InvalidParams("induced subgraph on empty vertex set")
     pos = {v: i for i, v in enumerate(verts)}
     rows = []
     for v in verts:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OrderTooLargeForExact
+from .errors import OrderOutOfRange
 from .graph import Graph, is_connected
 
 MAX_EXACT = 24
@@ -40,7 +40,7 @@ _CHUNK = 8192
 
 def _check_order(g: Graph) -> None:
     if g.n > MAX_EXACT:
-        raise OrderTooLargeForExact(
+        raise OrderOutOfRange(
             f"exact search capped at {MAX_EXACT} vertices, got {g.n}"
         )
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisconnectedInput, InvalidParams
+from .errors import InvalidParams
 from .graph import Graph, is_connected
 
 DEFAULT_CMP_TOL = 1e-9
@@ -49,7 +49,7 @@ def hong_bound(g: Graph) -> float:
     """Upper bound sqrt(2m - n + 1); equality exactly on complete graphs
     and stars.  Connected input only."""
     if not is_connected(g):
-        raise DisconnectedInput("bound requires a connected graph")
+        raise InvalidParams("bound requires a connected graph")
     return math.sqrt(2 * g.m - g.n + 1)
 
 

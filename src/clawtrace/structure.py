@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .errors import NotClawFree, PatternTooLarge
+from .errors import InvalidParams, NotClawFree
 from .graph import (
     Graph,
     VertexSet,
@@ -78,7 +78,7 @@ def find_induced(
     non-adjacency are both enforced, so the match is induced.
     """
     if pattern.n > MAX_PATTERN:
-        raise PatternTooLarge(f"pattern order {pattern.n} exceeds {MAX_PATTERN}")
+        raise InvalidParams(f"pattern order {pattern.n} exceeds {MAX_PATTERN}")
     if pattern.n > g.n:
         return None
     plans = _plans(pattern)

@@ -43,13 +43,7 @@ from typing import Callable, Optional
 from . import graph6 as g6
 from .canon import MAX_CANONICAL, canonical_form
 from .enumeration import MAX_EXHAUSTIVE, _check_sample, _run_sample, exhaustive_orders
-from .errors import (
-    InfeasibleSpec,
-    InvalidParams,
-    NotClawFree,
-    OrderOutOfRange,
-    OrderTooLargeForCanonical,
-)
+from .errors import InfeasibleSpec, InvalidParams, NotClawFree, OrderOutOfRange
 from .families import BROUSEK_BASES, FamilySpec, brousek_blown, make
 from .graph import (
     Graph,
@@ -197,11 +191,8 @@ def decide_traceable(g: Graph) -> Optional[bool]:
 
 def match_exception(g: Graph, families: list[FamilySpec]) -> Optional[FamilySpec]:
     """First family whose constructed graph is isomorphic to g; families
-    whose construction fails at g's order are skipped."""
-    if g.n > MAX_CANONICAL:
-        raise OrderTooLargeForCanonical(
-            f"isomorphism matching capped at n <= {MAX_CANONICAL}, got {g.n}"
-        )
+    whose construction fails at g's order are skipped.  canonical_form
+    raises OrderOutOfRange above its cap of 16."""
     cf = canonical_form(g)
     for spec in families:
         try:

@@ -12,7 +12,7 @@ from clawtrace.canon import (
     canonical_form,
     canonical_labeling,
 )
-from clawtrace.errors import OrderTooLargeForCanonical
+from clawtrace.errors import OrderOutOfRange
 from clawtrace.families import complete, edgeless, star
 from clawtrace.graph import disjoint_union, from_edges, join, relabel
 from clawtrace.graph6 import decode
@@ -79,7 +79,7 @@ def test_shuffled_pairs_always_isomorphic():
 
 
 def test_order_cap_enforced():
-    with pytest.raises(OrderTooLargeForCanonical):
+    with pytest.raises(OrderOutOfRange, match=r"^canonical labelling capped at n <= 16, got 17$"):
         canonical_form(complete(MAX_CANONICAL + 1))
     canonical_form(complete(MAX_CANONICAL))  # boundary order is fine
 

@@ -4,15 +4,17 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import clawtrace
-from clawtrace import cli, graph6
+from clawtrace import cli, errors, graph6
 from clawtrace.enumeration import exhaustive_orders, sample_dense_claw_free
-from clawtrace.families import brousek, complete, nn33
+from clawtrace.errors import InfeasibleSpec, InvalidParams, NotClawFree, OrderOutOfRange
+from clawtrace.families import brousek, claw, complete, nn33
 from clawtrace.graph import complement, from_edges
 from clawtrace.spectral import spectral_radius
 from clawtrace.verify import hunt, verify
@@ -152,6 +154,41 @@ def test_construct_errors_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
     assert cli.run(["construct", "complete-split", "3"]) == 2
     assert "CompleteSplit" in capsys.readouterr().err
+
+
+# one request per error class, with the message the CLI prints for it
+ERROR_CASES = [
+    (InvalidParams, ["construct", "n-graph", "5"], "pendant family needs n >= 6, got 5"),
+    (OrderOutOfRange, ["construct", "complete", "65"], "order 65 outside 1..64"),
+    (NotClawFree, ["closure", graph6.encode(claw())],
+     "closure is defined for claw-free graphs only"),
+    (InfeasibleSpec, ["construct", "mystery-family", "4"],
+     "unknown family 'mystery-family'; choices: brousek, brousek-blown, claw, complete, "
+     "complete-plus-k1, complete-split, graph-l, graph-m, n-graph, net, ning-ge, star"),
+    (InfeasibleSpec, ["verify", "nothing", "--n-min", "6", "--n-max", "7"],
+     "unknown theorem 'nothing'; choices: brousek-order-9, degree-sum, dgj, dirac, "
+     "edge-lemma, edge-lemma-prime, fiedler-nikiforov-1, fiedler-nikiforov-2, "
+     "hamiltonian-family, hofmeister, hong, lbz, lu-liu-tian, main-complement, main-mu, "
+     "matthews-sumner, ning-ge"),
+    (InfeasibleSpec, ["enumerate", "--n", "12", "--mode", "sample", "--count", "3",
+                      "--seed", "1", "--checkpoint", "F"],
+     "checkpoint applies to exhaustive mode only"),
+]
+
+
+@pytest.mark.parametrize("cls, argv, message", ERROR_CASES,
+                         ids=[f"{cls.__name__}-{argv[0]}" for cls, argv, _ in ERROR_CASES])
+def test_each_error_class_exits_2_with_its_message(cls, argv, message, capsys,
+                                                   monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(cls, match=f"^{re.escape(message)}$") as info:
+        args.func(args)
+    assert type(info.value) is cls
+    capsys.readouterr()
+    assert cli.run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_spectral_complement_flag(capsys):
@@ -438,6 +475,27 @@ def test_library_imports_numpy_and_the_standard_library_only():
                 seen.add((name, node.module.split(".")[0]))
     assert ("spectral.py", "numpy") in seen
     assert sorted((name, mod) for name, mod in seen if mod not in allowed) == []
+
+
+def test_the_public_error_set():
+    # one class per thing a caller can act on; each class below the base is
+    # raised somewhere in the package, and no raise names the base itself
+    defined = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    assert defined == {"ClawtraceError", "InvalidParams", "OrderOutOfRange",
+                       "NotClawFree", "InfeasibleSpec"}
+    pkg = os.path.dirname(os.path.abspath(clawtrace.__file__))
+    raised = set()
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name)) as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                    and isinstance(node.exc.func, ast.Name):
+                raised.add(node.exc.func.id)
+    assert raised & defined == defined - {"ClawtraceError"}
 
 
 def test_every_imported_name_is_used():

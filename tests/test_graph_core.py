@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from clawtrace.cli import _analyze_one
-from clawtrace.errors import EmptySet, LoopEdge, OrderOutOfRange, VertexOutOfRange
+from clawtrace.errors import InvalidParams, OrderOutOfRange
 from clawtrace.families import complete, edgeless, star
 from clawtrace.graph import (
     Graph,
@@ -47,9 +47,9 @@ def test_construction_and_accessors():
 
 
 def test_construction_rejects_bad_input():
-    with pytest.raises(LoopEdge):
+    with pytest.raises(InvalidParams, match=r"^loop at vertex 1$"):
         from_edges(3, [(1, 1)])
-    with pytest.raises(VertexOutOfRange):
+    with pytest.raises(InvalidParams, match=r"^edge \(0,3\) outside 0\.\.2$"):
         from_edges(3, [(0, 3)])
     with pytest.raises(OrderOutOfRange):
         from_edges(0, [])
@@ -88,7 +88,7 @@ def test_induced_and_edges_between():
     g = cycle_graph(6)
     sub = induced(g, 0b000111)  # vertices 0,1,2 of the cycle: a path
     assert sub.n == 3 and sub.m == 2
-    with pytest.raises(EmptySet):
+    with pytest.raises(InvalidParams, match=r"^induced subgraph on empty vertex set$"):
         induced(g, 0)
     # edges between {0,1} and {2..5}: the whole cycle minus both sides
     both = induced(g, 0b111111).m

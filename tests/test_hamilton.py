@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clawtrace import hamilton
-from clawtrace.errors import OrderTooLargeForExact
+from clawtrace.errors import OrderOutOfRange
 from clawtrace.families import complete, complete_split, nn33, star
 from clawtrace.graph import bits, disjoint_union, from_edges
 from clawtrace.hamilton import (
@@ -78,7 +78,7 @@ def test_matches_permutation_brute_force():
 
 
 def test_order_cap():
-    with pytest.raises(OrderTooLargeForExact):
+    with pytest.raises(OrderOutOfRange, match=r"^exact search capped at 24 vertices, got 25$"):
         has_hamilton_path(complete(MAX_EXACT + 1))
     assert has_hamilton_path(complete(MAX_EXACT))  # boundary order works
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from clawtrace.errors import DisconnectedInput, InvalidParams
+from clawtrace.errors import InvalidParams
 from clawtrace.families import (
     complete,
     complete_plus_isolated,
@@ -134,7 +134,7 @@ def test_bound_sandwich_on_random_graphs():
 
 
 def test_hong_bound_needs_connected():
-    with pytest.raises(DisconnectedInput):
+    with pytest.raises(InvalidParams, match=r"^bound requires a connected graph$"):
         hong_bound(disjoint_union(complete(3), complete(3)))
 
 

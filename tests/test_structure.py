@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clawtrace.errors import NotClawFree, PatternTooLarge
+from clawtrace.errors import InvalidParams, NotClawFree
 from clawtrace.families import claw, complete, graph_l, graph_m, net, nn33, star
 from clawtrace.graph import from_edges, induced, is_complete, relabel
 from clawtrace.hamilton import has_hamilton_path
@@ -61,7 +61,7 @@ def test_find_induced_agrees_with_subset_scan():
 
 
 def test_find_induced_pattern_cap():
-    with pytest.raises(PatternTooLarge):
+    with pytest.raises(InvalidParams, match=r"^pattern order 11 exceeds 10$"):
         find_induced(complete(12), complete(MAX_PATTERN + 1))
 
 

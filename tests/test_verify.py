@@ -9,7 +9,7 @@ import pytest
 
 from clawtrace import enumeration
 from clawtrace.canon import canonical_form
-from clawtrace.errors import InfeasibleSpec, OrderTooLargeForCanonical
+from clawtrace.errors import InfeasibleSpec, InvalidParams, OrderOutOfRange
 from clawtrace.families import (
     FamilySpec,
     complete,
@@ -17,6 +17,7 @@ from clawtrace.families import (
     complete_split,
     edgeless,
     graph_l,
+    make,
     ning_ge,
     nn33,
 )
@@ -142,8 +143,24 @@ def test_match_exception_cases():
     assert match_exception(graph_l(), fams + [FamilySpec("GraphL")]) is not None
     # families that cannot be built at this order are skipped, not fatal
     assert match_exception(cycle_graph(5), [FamilySpec("Nn33", (5,))]) is None
-    with pytest.raises(OrderTooLargeForCanonical):
+    with pytest.raises(OrderOutOfRange, match=r"^canonical labelling capped at n <= 16, got 17$"):
         match_exception(complete(17), fams)
+
+
+def test_declared_families_fail_only_on_their_parameters():
+    # match_exception skips a family whose make() raises InvalidParams or
+    # OrderOutOfRange; no declared family may get there through a malformed
+    # edge list or an empty vertex set, which raise InvalidParams too
+    declared = {fam for spec in REGISTRY.values() for n in range(0, 67)
+                for fam in spec.exception_families(n)}
+    refused = set()
+    for fam in declared:
+        try:
+            make(fam)
+        except (InvalidParams, OrderOutOfRange) as exc:
+            assert not str(exc).startswith(("loop at", "edge (", "induced subgraph")), exc
+            refused.add(fam)
+    assert FamilySpec("Nn33", (5,)) in refused and FamilySpec("Nn33", (65,)) in refused
 
 
 def test_spanning_subgraph_of_pendant_family():
