@@ -78,7 +78,7 @@ def _check_chain(chain: tuple[str, ...]) -> None:
 
 def _attach(parent: Graph, mask: int) -> Graph:
     rows = [row | (mask >> v & 1) << parent.n for v, row in enumerate(parent.adj)]
-    return Graph(n=parent.n + 1, adj=(*rows, mask), m=parent.m + mask.bit_count())
+    return Graph((*rows, mask))
 
 
 def _viable_masks(parent: Graph, chain: tuple[str, ...]) -> int:
@@ -355,6 +355,8 @@ def sample_dense_claw_free(n: int, target_m: int, seed: int) -> Graph:
         raise InvalidParams(f"sampler needs 1 <= n <= {MAX_SAMPLE}, got {n}")
     if target_m > n * (n - 1) // 2 or target_m < 0:
         raise InvalidParams(f"target_m {target_m} outside 0..C({n},2)")
+    if seed < 0:
+        raise InvalidParams(f"sampler seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     full = (1 << n) - 1
     rows = [full & ~(1 << v) for v in range(n)]
@@ -388,12 +390,11 @@ def sample_dense_claw_free(n: int, target_m: int, seed: int) -> Graph:
             seen |= frontier
         return False
 
-    # the current edges in lexicographic order; a deletion keeps the order,
-    # so each draw permutes the same list the graph's edges would give
+    # the current edges in lexicographic order, which a deletion keeps; each
+    # draw permutes this list
     edges = list(_complete_edges(n))
-    m = len(edges)
-    while m > target_m:
-        for idx in rng.permutation(m):
+    while len(edges) > target_m:
+        for idx in rng.permutation(len(edges)):
             u, v = edges[idx]
             rows[u] &= ~(1 << v)
             rows[v] &= ~(1 << u)
@@ -402,11 +403,10 @@ def sample_dense_claw_free(n: int, target_m: int, seed: int) -> Graph:
                 rows[v] |= 1 << u
                 continue
             del edges[idx]
-            m -= 1
             break
         else:
             break  # stuck: no deletion keeps the graph connected and claw-free
-    return Graph(n, tuple(rows), m)
+    return Graph(tuple(rows))
 
 
 def _sample_ok(g: Graph, chain: tuple[str, ...]) -> bool:
@@ -428,10 +428,12 @@ def _check_sample(
 ) -> None:
     """Raise InfeasibleSpec unless a sampled request at orders up to n can
     be served: count and seed given, a known chain, n <= MAX_SAMPLE, density
-    in [0, 1] and count >= 0.  Callers pass their largest order and their
-    whole count, so a request is refused before its first draw."""
+    in [0, 1], count >= 0 and seed >= 0.  Callers pass their largest order,
+    smallest seed and whole count, so it is refused before its first draw."""
     if count is None or seed is None:
         raise InfeasibleSpec("sample mode needs --count and --seed")
+    if seed < 0:
+        raise InfeasibleSpec(f"sample seeds must be >= 0, the first would be {seed}")
     _check_chain(chain)
     if not 1 <= n <= MAX_SAMPLE:
         raise InfeasibleSpec(f"sample mode needs 1 <= n <= {MAX_SAMPLE}, got {n}")

@@ -1,8 +1,9 @@
 """Immutable simple graphs on at most 64 vertices.
 
-Adjacency is stored as one python int bitmask per vertex, so neighborhood
-intersections, independence tests and component sweeps are single word
-operations.  Vertex subsets everywhere in this package are plain int bitmasks
+A graph is its adjacency rows, one python int bitmask per vertex, so
+neighborhood intersections, independence tests and component sweeps are
+single word operations.  Graph(adj) derives n and m from the rows, so
+equality and hashing see the rows alone.  Vertex subsets everywhere in this package are plain int bitmasks
 (``VertexSet``); bit i set means vertex i is in the set.  One primitive,
 separations (the components of g - v for each vertex v), is behind every
 cut-vertex test: two-connectivity, block chains, the block and cut-vertex
@@ -30,9 +31,15 @@ def bits(mask: VertexSet):
 
 @dataclass(frozen=True)
 class Graph:
-    n: int
     adj: tuple[int, ...]
-    m: int = field(compare=False)
+    n: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n", len(self.adj))
+
+    @property
+    def m(self) -> int:
+        return sum(row.bit_count() for row in self.adj) // 2
 
     @property
     def vertex_mask(self) -> VertexSet:
@@ -47,20 +54,8 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def edges(self):
-        for u in range(self.n):
-            rest = self.adj[u] >> (u + 1) << (u + 1)
-            for v in bits(rest):
-                yield (u, v)
-
     def min_degree(self) -> int:
         return min(row.bit_count() for row in self.adj)
-
-
-def _from_rows(n: int, rows) -> Graph:
-    rows = tuple(rows)
-    m = sum(r.bit_count() for r in rows) // 2
-    return Graph(n=n, adj=rows, m=m)
 
 
 def from_edges(n: int, edges) -> Graph:
@@ -75,12 +70,12 @@ def from_edges(n: int, edges) -> Graph:
             raise InvalidParams(f"edge ({u},{v}) outside 0..{n - 1}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return _from_rows(n, rows)
+    return Graph(tuple(rows))
 
 
 def complement(g: Graph) -> Graph:
     full = g.vertex_mask
-    return _from_rows(g.n, ((full & ~row) & ~(1 << v) for v, row in enumerate(g.adj)))
+    return Graph(tuple((full & ~row) & ~(1 << v) for v, row in enumerate(g.adj)))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -88,7 +83,7 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     if n > MAX_ORDER:
         raise OrderOutOfRange(f"union order {n} exceeds {MAX_ORDER}")
     rows = list(g.adj) + [row << g.n for row in h.adj]
-    return _from_rows(n, rows)
+    return Graph(tuple(rows))
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -100,7 +95,7 @@ def join(g: Graph, h: Graph) -> Graph:
     hmask = ((1 << h.n) - 1) << g.n
     rows = [row | hmask for row in g.adj]
     rows += [(row << g.n) | gmask for row in h.adj]
-    return _from_rows(n, rows)
+    return Graph(tuple(rows))
 
 
 def induced(g: Graph, subset: VertexSet) -> Graph:
@@ -115,7 +110,7 @@ def induced(g: Graph, subset: VertexSet) -> Graph:
         for u in bits(g.adj[v] & subset):
             row |= 1 << pos[u]
         rows.append(row)
-    return _from_rows(len(verts), rows)
+    return Graph(tuple(rows))
 
 
 def _reach(g: Graph, start: int, mask: VertexSet) -> VertexSet:
@@ -215,4 +210,4 @@ def relabel(g: Graph, perm) -> Graph:
             out |= 1 << perm[low.bit_length() - 1]
             row ^= low
         rows[perm[v]] = out
-    return Graph(n=g.n, adj=tuple(rows), m=g.m)
+    return Graph(tuple(rows))

@@ -8,7 +8,7 @@ group offset by 63.
 from __future__ import annotations
 
 from .errors import InvalidParams, OrderOutOfRange
-from .graph import Graph, _from_rows
+from .graph import Graph
 
 
 def encode(g: Graph) -> str:
@@ -72,4 +72,4 @@ def decode(text: str) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             k += 1
-    return _from_rows(n, rows)
+    return Graph(tuple(rows))

@@ -106,7 +106,7 @@ def _layers(sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return tuple(layers)
 
 
-def _run_dp(g: Graph) -> np.ndarray:
+def _run_dp(g: Graph, lay: _Layout) -> np.ndarray:
     """dp[index] = bitmask of the classes in which a path can end that
     starts at vertex 0 and uses exactly the member counts of the index
     (see _Layout), entry 0 being the path {0}.  Indices with a field above
@@ -134,7 +134,6 @@ def _run_dp(g: Graph) -> np.ndarray:
     predecessor layer runs, because nothing else writes to it.  So every
     entry receives distinct bits once each, over any split of the layer
     into chunks of _CHUNK states, which keep the temporaries small."""
-    lay = _layout(g)
     dp = np.zeros(1 << lay.width, dtype=np.int32)
     dp[0] = 1
     # row w - 1 holds the values of class w, broadcast against a chunk of
@@ -170,7 +169,7 @@ def _with_apex(g: Graph) -> Graph:
     count vector of those classes, the classes in which the paths of g with
     those counts end (entry 0 being the path {apex})."""
     rows = tuple(r << 1 | 1 for r in g.adj)
-    return Graph(g.n + 1, (g.vertex_mask << 1,) + rows, g.m + g.n)
+    return Graph((g.vertex_mask << 1,) + rows)
 
 
 def has_hamilton_path(g: Graph) -> bool:
@@ -180,7 +179,8 @@ def has_hamilton_path(g: Graph) -> bool:
     if not is_connected(g):
         return False
     h = _with_apex(g)
-    return bool(_run_dp(h)[_layout(h).full] != 0)
+    lay = _layout(h)
+    return bool(_run_dp(h, lay)[lay.full] != 0)
 
 
 def has_hamilton_cycle(g: Graph) -> bool:
@@ -190,4 +190,4 @@ def has_hamilton_cycle(g: Graph) -> bool:
     if g.n < 3 or not is_connected(g) or g.min_degree() < 2:
         return False
     lay = _layout(g)
-    return bool(_run_dp(g)[lay.full] & lay.nbrs[0])
+    return bool(_run_dp(g, lay)[lay.full] & lay.nbrs[0])

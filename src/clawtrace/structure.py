@@ -151,10 +151,9 @@ def closure(
     if not is_claw_free(g):
         raise NotClawFree("closure is defined for claw-free graphs only")
     rows = list(g.adj)
-    m = g.m
     steps: list[ClosureStep] = []
     while True:
-        cur = Graph(n=g.n, adj=tuple(rows), m=m)
+        cur = Graph(tuple(rows))
         eligible = [x for x in range(g.n) if is_eligible(cur, x)]
         if not eligible:
             return ClosureResult(closed=cur, steps=tuple(steps))
@@ -166,7 +165,6 @@ def closure(
             # still holds its old bits when its missing pairs are read
             added += ((u, w) for w in bits(row & ~rows[u] >> (u + 1) << (u + 1)))
             rows[u] |= row & ~(1 << u)
-        m += len(added)
         steps.append(ClosureStep(vertex=x, added=tuple(added)))
 
 

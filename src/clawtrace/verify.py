@@ -96,7 +96,7 @@ def _path_closure(g: Graph) -> Graph:
                     degs[u] += 1
                     degs[v] += 1
                     changed = True
-    return Graph(n, tuple(rows), sum(r.bit_count() for r in rows) // 2)
+    return Graph(tuple(rows))
 
 
 def _rotation_path(g: Graph) -> Optional[list[int]]:
@@ -658,8 +658,9 @@ def verify(
     if sampling:
         if spec.family_sweep is not None:
             raise InfeasibleSpec(f"{theorem} sweeps a constructed family only")
-        # the whole request, before the split names a per-order share
-        _check_sample(n_max, spec.chain, count, seed, density)
+        # the whole request, before the split names a per-order share; its
+        # smallest seed is the first order's
+        _check_sample(n_max, spec.chain, count, None if seed is None else seed + n_min, density)
 
     t0 = time.perf_counter()
     checked = 0

@@ -24,9 +24,14 @@ from clawtrace.errors import OrderOutOfRange
 from clawtrace.graph import Graph
 
 
+def edge_list(g: Graph) -> list[tuple[int, int]]:
+    """The edges (u, v), u < v, in lexicographic order, read off the rows."""
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1]
+
+
 def adjacency(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n))
-    for u, v in g.edges():
+    for u, v in edge_list(g):
         a[u][v] = a[v][u] = 1.0
     return a
 
@@ -102,7 +107,7 @@ def brute_force_isomorphic(g: Graph, h: Graph, cap: int = 8) -> bool:
     if g.n > cap:
         raise OrderOutOfRange(f"brute force isomorphism capped at {cap}")
     # equal edge counts: a map sending every edge onto an edge is a bijection
-    edges = list(g.edges())
+    edges = edge_list(g)
     return any(
         all(h.has_edge(perm[u], perm[v]) for u, v in edges)
         for perm in itertools.permutations(range(g.n))
@@ -245,7 +250,7 @@ def block_structure_nx(g: Graph) -> tuple:
     tree means no node of degree 3 or more; K1 is one trivial block."""
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
+    h.add_edges_from(edge_list(g))
     if not nx.is_connected(h):
         return None, None, False, False
     blocks = [set(b) for b in nx.biconnected_components(h)] or [set(h)]

@@ -20,6 +20,7 @@ from clawtrace.spectral import spectral_radius
 from clawtrace.verify import hunt, verify
 
 import frozen
+from oracles import edge_list
 
 
 def wheel6():
@@ -103,7 +104,7 @@ def test_closure_steps_replay(capsys):
     assert cli.run(["closure", graph6.encode(g), "--format", "json"]) == 0
     d = json.loads(capsys.readouterr().out)
     assert d["complete"] is True
-    edges = set(g.edges())
+    edges = set(edge_list(g))
     for step in d["steps"]:
         for u, v in step["added"]:
             edges.add((min(u, v), max(u, v)))
@@ -272,6 +273,10 @@ REFUSED = [
     ["hunt", "--theorem", "main-mu", "--n", "31", "--seed", "1", "--count", "1"],
     ["hunt", "--theorem", "main-mu", "--n", "8", "--seed", "1", "--count", "1",
      "--density", "2"],
+    ["hunt", "--theorem", "main-mu", "--n", "12", "--seed", "-3", "--count", "2"],
+    ["enumerate", "--n", "10", "--mode", "sample", "--count", "2", "--seed", "-1"],
+    ["verify", "main-complement", "--mode", "sample", "--n-min", "24", "--n-max", "25",
+     "--count", "2", "--seed", "-30"],
 ]
 
 

@@ -19,7 +19,7 @@ from clawtrace.graph6 import encode
 from clawtrace.structure import find_induced, is_claw_free, is_closed
 
 import frozen
-from oracles import exhaustive_list
+from oracles import edge_list, exhaustive_list
 
 
 def test_frozen_counts_default_chain(corpus):
@@ -213,6 +213,8 @@ def test_validation_errors():
         _run_sample(8, chain, 5, 0, 1.5, lambda g: None)
     with pytest.raises(InfeasibleSpec):
         _run_sample(8, ("connected", "closed"), 5, 0, 0.9, lambda g: None)
+    with pytest.raises(InfeasibleSpec, match=r"^sample seeds must be >= 0, the first would be -1$"):
+        _run_sample(8, chain, 5, -1, 0.9, lambda g: None)
 
 
 def test_sampler_reaches_target_and_stays_feasible():
@@ -235,7 +237,7 @@ def test_sampler_target_unreachable_payload():
     # the sampler returns the graph it stopped at, where every deletion
     # disconnects it or creates a claw
     g = sample_dense_claw_free(10, 5, seed=0)
-    edges = list(g.edges())
+    edges = edge_list(g)
     assert g.m == len(edges) >= 9
     assert is_connected(g) and is_claw_free(g)
     for e in edges:
@@ -273,6 +275,8 @@ def test_sampler_rejects_bad_arguments():
         sample_dense_claw_free(40, 10, 0)
     with pytest.raises(InvalidParams):
         sample_dense_claw_free(10, 99, 0)
+    with pytest.raises(InvalidParams, match=r"^sampler seed must be >= 0, got -1$"):
+        sample_dense_claw_free(10, 30, -1)
 
 
 def test_sample_mode_respects_chain():

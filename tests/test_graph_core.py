@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from clawtrace.cli import _analyze_one
+from clawtrace.enumeration import _attach, sample_dense_claw_free
 from clawtrace.errors import InvalidParams, OrderOutOfRange
 from clawtrace.families import complete, edgeless, star
 from clawtrace.graph import (
@@ -23,8 +26,12 @@ from clawtrace.graph import (
     relabel,
     separations,
 )
+from clawtrace.graph6 import decode, encode
+from clawtrace.hamilton import _with_apex
+from clawtrace.structure import closure
+from clawtrace.verify import _path_closure
 
-from oracles import brute_force_isomorphic, random_graph
+from oracles import brute_force_isomorphic, edge_list, random_graph
 
 
 def path_graph(n):
@@ -40,7 +47,7 @@ def test_construction_and_accessors():
     assert g.n == 4 and g.m == 3
     assert g.degrees() == [1, 2, 2, 1]
     assert g.has_edge(1, 2) and not g.has_edge(0, 3)
-    assert sorted(g.edges()) == [(0, 1), (1, 2), (2, 3)]
+    assert sorted(edge_list(g)) == [(0, 1), (1, 2), (2, 3)]
     assert g.min_degree() == 1
     assert g.vertex_mask == 0b1111
     assert g.adj[1] == 0b0101
@@ -169,7 +176,7 @@ def test_relabel_preserves_structure():
         perm = list(rng.permutation(n))
         h = relabel(g, perm)
         assert h.m == g.m
-        for u, v in g.edges():
+        for u, v in edge_list(g):
             assert h.has_edge(perm[u], perm[v])
 
 
@@ -187,7 +194,37 @@ def test_is_complete():
     assert is_complete(complete(1))
 
 
-def test_graph_equality_ignores_m_field():
-    g = from_edges(3, [(0, 1)])
-    h = Graph(n=3, adj=g.adj, m=99)  # m is derived, never compared
-    assert g == h
+def test_every_builder_gives_rows_that_fix_n_and_m():
+    # a graph is its rows: Graph(adj) is the one constructor, every builder
+    # of the package returns symmetric loop-free rows, n and m are read off
+    # them, and equality and hashing see the rows alone
+    assert [f.name for f in fields(Graph) if f.init] == ["adj"]
+    g = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 3)])
+    closable = decode("D|c")
+    built = [
+        g,
+        complement(g),
+        disjoint_union(g, complete(3)),
+        join(g, edgeless(2)),
+        induced(g, 0b101110),
+        relabel(g, [5, 3, 1, 0, 2, 4]),
+        decode(encode(g)),
+        _attach(g, 0b000110),
+        sample_dense_claw_free(10, 30, 1),
+        _with_apex(g),
+        closure(closable).closed,
+        _path_closure(g),
+    ]
+    for h in built:
+        assert h.n == len(h.adj)
+        assert h.m == len(edge_list(h))
+        assert all(row >> h.n == 0 and not row >> v & 1 for v, row in enumerate(h.adj))
+        assert all(h.has_edge(u, v) == h.has_edge(v, u) for u in range(h.n) for v in range(h.n))
+        same = Graph(tuple(list(h.adj)))
+        assert same == h and hash(same) == hash(h)
+    # the m of a closure counts the pairs it added: three for the claw-free
+    # closure, and all of K6 for the path closure of g
+    assert closure(closable).closed.m == closable.m + 3
+    assert _path_closure(g).m == 15
+    # equal order and size, other rows: another graph
+    assert relabel(g, [1, 0, 2, 3, 4, 5]) != g

@@ -11,6 +11,7 @@ from clawtrace.families import complete, complete_split, nn33, star
 from clawtrace.graph import bits, disjoint_union, from_edges
 from clawtrace.hamilton import (
     MAX_EXACT,
+    _layout,
     _run_dp,
     _with_apex,
     has_hamilton_cycle,
@@ -161,21 +162,25 @@ def is_twin_free(g):
     return len(set(twin_layout(g)[0])) == g.n
 
 
+def dp_table(g):
+    return _run_dp(g, _layout(g)).tolist()
+
+
 def assert_tables_match(g):
     for h in (g, _with_apex(g)):
-        assert _run_dp(h).tolist() == projected_table(h)
+        assert dp_table(h) == projected_table(h)
     # on twin-free graphs the table is the plain subset DP's
     if is_twin_free(g):
         # index t stands for the set {0} plus vertex v at bit v - 1
         anchored = subset_dp(g, [0])
-        assert _run_dp(g).tolist() == [
+        assert dp_table(g) == [
             anchored[t << 1 | 1] for t in range(1 << (g.n - 1))
         ]
     if is_twin_free(_with_apex(g)):
         # through the apex, index t is a set of g and endpoints move up one
         # bit; entry 0 is the path {apex}
         paths = subset_dp(g, range(g.n))
-        assert _run_dp(_with_apex(g)).tolist() == [
+        assert dp_table(_with_apex(g)) == [
             paths[t] << 1 | (t == 0) for t in range(1 << g.n)
         ]
 
@@ -203,7 +208,7 @@ def test_dp_tables_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     for _ in range(12):
         g = random_graph(rng, int(rng.integers(4, 11)), rng.random())
         for h in (g, _with_apex(g)):
-            assert _run_dp(h).tolist() == projected_table(h)
+            assert dp_table(h) == projected_table(h)
 
 
 @settings(max_examples=50, deadline=None)
@@ -212,7 +217,7 @@ def test_twin_class_tables_do_not_depend_on_the_chunk_size(g, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hamilton, "_CHUNK", chunk)
         for h in (g, _with_apex(g)):
-            assert _run_dp(h).tolist() == projected_table(h)
+            assert dp_table(h) == projected_table(h)
 
 
 def test_anchor_of_degree_two():

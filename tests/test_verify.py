@@ -53,6 +53,7 @@ import frozen
 from oracles import (
     adjacency,
     compare_threshold,
+    edge_list,
     exhaustive_list,
     hamilton_path_brute,
     random_graph,
@@ -116,7 +117,7 @@ def test_degree_pair_test_answers_only_when_the_closure_is_complete():
     # decides both, and random graphs at this boundary agree with the solver
     for a in range(1, 8):
         apart = disjoint_union(complete(a), complete(a))
-        bridged = from_edges(2 * a, [*apart.edges(), (a - 1, a)])
+        bridged = from_edges(2 * a, [*edge_list(apart), (a - 1, a)])
         for g, want in ((apart, False), (bridged, True)):
             assert decide_traceable(g) is want and has_hamilton_path(g) is want, (a, g)
             if a >= 3:
@@ -170,7 +171,7 @@ def test_spanning_subgraph_of_pendant_family():
     )
     # losing a clique edge keeps it a spanning subgraph
     g = nn33(9)
-    edges = [e for e in g.edges() if e != (0, 1)]
+    edges = [e for e in edge_list(g) if e != (0, 1)]
     assert is_spanning_subgraph_of_pendant_family(from_edges(9, edges))
     assert not is_spanning_subgraph_of_pendant_family(cycle_graph(10))
     assert not is_spanning_subgraph_of_pendant_family(complete(9))
@@ -203,7 +204,7 @@ def test_pendant_family_test_beyond_canonical_range():
     for n in range(9, 31):
         g = relabel(nn33(n), list(rng.permutation(n)))
         assert _is_pendant_family(g)
-        edges = list(g.edges())
+        edges = edge_list(g)
         for e in edges:
             assert not _is_pendant_family(from_edges(n, [f for f in edges if f != e]))
 
@@ -385,6 +386,11 @@ def test_infeasible_ranges_rejected():
     # the caller's count, not the share of one order after the split
     with pytest.raises(InfeasibleSpec, match=r"sample count must be >= 0, got -4$"):
         verify("MainComplement", 24, 25, mode="sample", count=-4, seed=1)
+    # the smallest per-order seed, seed + n_min: order 24 draws with seed 0
+    # here, and with seed -1 one lower
+    assert verify("MainComplement", 24, 25, mode="sample", count=2, seed=-24).passed
+    with pytest.raises(InfeasibleSpec, match=r"the first would be -1$"):
+        verify("MainComplement", 24, 25, mode="sample", count=2, seed=-25)
     for tol in (-0.5, math.nan, math.inf):
         with pytest.raises(InfeasibleSpec, match="cmp_tol"):
             verify("MainMuG", 7, 7, cmp_tol=tol)
@@ -596,7 +602,7 @@ def _quantities(g) -> dict:
         "mu_complement": _mu(1.0 - a - np.eye(g.n)),
         # a graph with no nonadjacent pair fails the degree-sum hypothesis
         "nonadjacent_degree_sum": max(apart) if apart else -math.inf,
-        "m": float(len(list(g.edges()))),
+        "m": float(len(edge_list(g))),
         "2delta": 2 * degs.min(),
         "3delta": 3 * degs.min(),
     }
