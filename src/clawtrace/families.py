@@ -124,14 +124,18 @@ def _join_params(params) -> tuple[int, int, int]:
     return tuple(params)
 
 
-def brousek(x1: int, x2: int, x3: int) -> Graph:
-    """Two disjoint triangles, each pair {a_i, b_i} joined by a triangle
-    (param 0) or by a path of order k_i >= 3 (param k_i)."""
-    xs = _join_params((x1, x2, x3))
-    edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
-    nxt = 6
+def _two_triangles(q: int, xs: tuple[int, int, int]) -> Graph:
+    """The two-triangles graph with its a-triangle grown to K_q: K_q on
+    0..q-1 and the b-triangle on q, q+1, q+2, each pair {a_i, b_i} =
+    {i, q+i} joined as param x_i says.  The order is checked before any
+    edge is built."""
+    n = q + 3 + sum(1 if x == T_JOIN else x - 2 for x in xs)
+    _check_order(n)
+    edges = [(i, j) for i in range(q) for j in range(i + 1, q)]
+    edges += [(q, q + 1), (q, q + 2), (q + 1, q + 2)]
+    nxt = q + 3
     for i, x in enumerate(xs):
-        a, b = i, 3 + i
+        a, b = i, q + i
         if x == T_JOIN:
             edges += [(a, b), (a, nxt), (b, nxt)]
             nxt += 1
@@ -142,8 +146,13 @@ def brousek(x1: int, x2: int, x3: int) -> Graph:
                 prev = nxt
                 nxt += 1
             edges.append((prev, b))
-    _check_order(nxt)
-    return from_edges(nxt, edges)
+    return from_edges(n, edges)
+
+
+def brousek(x1: int, x2: int, x3: int) -> Graph:
+    """Two disjoint triangles, each pair {a_i, b_i} joined by a triangle
+    (param 0) or by a path of order k_i >= 3 (param k_i)."""
+    return _two_triangles(3, _join_params((x1, x2, x3)))
 
 
 def brousek_blown(x1: int, x2: int, x3: int, n: int) -> Graph:
@@ -156,23 +165,9 @@ def brousek_blown(x1: int, x2: int, x3: int, n: int) -> Graph:
     xs = _join_params((x1, x2, x3))
     if any(x not in (T_JOIN, 3) for x in xs):
         raise InvalidParams("blown family builds on the order-9 bases only")
-    q = n - 6
-    if q < 3:
+    if n < 9:
         raise InvalidParams(f"clique replacement needs n >= 9, got {n}")
-    _check_order(n)
-    edges = [(i, j) for i in range(q) for j in range(i + 1, q)]
-    b0 = q  # b-triangle on q, q+1, q+2
-    edges += [(b0, b0 + 1), (b0, b0 + 2), (b0 + 1, b0 + 2)]
-    nxt = q + 3
-    for i, x in enumerate(xs):
-        a, b = i, b0 + i
-        if x == T_JOIN:
-            edges += [(a, b), (a, nxt), (b, nxt)]
-        else:
-            edges += [(a, nxt), (b, nxt)]
-        nxt += 1
-    assert nxt == n
-    return from_edges(n, edges)
+    return _two_triangles(n - 6, xs)
 
 
 _CONSTRUCTORS = {

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import Callable, Optional
 
@@ -348,6 +348,8 @@ class TheoremSpec:
     # the graphs of a constructed family sweep at order n; such a sweep
     # claims its margin, so only a YES verdict goes on to the conclusion
     family_sweep: Callable[[int], list[Graph]] | None = None
+    # the largest order at which the conclusion is decided; None for all
+    max_n: int | None = None
 
 
 def _judge(spec: TheoremSpec, g: Graph, cmp_tol: float) -> tuple[str, Optional[float]]:
@@ -515,6 +517,7 @@ _register(
         floor_n=3,
         conclusion=has_hamilton_cycle,
         exception_families=_brousek_families,
+        max_n=MAX_EXACT,
     )
 )
 _register(
@@ -526,6 +529,7 @@ _register(
         floor_n=9,
         conclusion=_blown_properties_hold,
         family_sweep=_family_sweep_blown,
+        max_n=MAX_EXACT,
     )
 )
 _register(
@@ -552,8 +556,18 @@ THEOREM_IDS = tuple(REGISTRY)
 # report and driver
 
 
+def _listed(value):
+    return [_listed(v) for v in value] if isinstance(value, tuple) else value
+
+
+class _Report:
+    def to_dict(self) -> dict:
+        """The fields in declaration order, tuples as lists."""
+        return {f.name: _listed(getattr(self, f.name)) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Report):
     theorem: str
     n_range: tuple[int, int]
     mode: str  # "Exhaustive" or "Sampled"
@@ -566,18 +580,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(label != "Unmatched" for _, label in self.exceptions)
-
-    def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "n_range": list(self.n_range),
-            "mode": self.mode,
-            "checked": self.checked,
-            "exceptions": [list(e) for e in self.exceptions],
-            "borderline": list(self.borderline),
-            "elapsed_ms": self.elapsed_ms,
-            "seed": self.seed,
-        }
 
 
 def _exception_label(g: Graph, spec: TheoremSpec) -> str:
@@ -605,8 +607,11 @@ def _render(g: Graph) -> str:
     return g6.encode(g)
 
 
-def _checked_spec(theorem: str, n_min: int, cmp_tol: float) -> TheoremSpec:
-    """The registry entry of a verify or hunt run whose arguments are in range."""
+def _checked_spec(
+    theorem: str, n_min: int, n_max: int, cmp_tol: float, sampled: bool
+) -> TheoremSpec:
+    """The registry entry of a verify or hunt run over n_min..n_max whose
+    arguments are in range; a sampled run cannot take a family sweep."""
     if theorem not in REGISTRY:
         raise InfeasibleSpec(f"unknown theorem id {theorem!r}")
     spec = REGISTRY[theorem]
@@ -614,6 +619,10 @@ def _checked_spec(theorem: str, n_min: int, cmp_tol: float) -> TheoremSpec:
         raise InfeasibleSpec(f"{theorem} applies from n = {spec.floor_n}, got {n_min}")
     if not (math.isfinite(cmp_tol) and cmp_tol >= 0):
         raise InfeasibleSpec(f"cmp_tol must be finite and >= 0, got {cmp_tol}")
+    if n_min > n_max:
+        raise InfeasibleSpec(f"empty range {n_min}..{n_max}")
+    if sampled and spec.family_sweep is not None:
+        raise InfeasibleSpec(f"{theorem} sweeps a constructed family only")
     return spec
 
 
@@ -645,29 +654,33 @@ def verify(
     the threshold comparison slack, to which each comparison adds the
     margin's own error bound; a graph whose margin lies within that slack is
     listed as borderline and still checked.  A sampled request is checked
-    whole, every order and the total count, before its first draw.
+    whole, every order and the total count, before its first draw, and a
+    request past the order up to which the theorem's conclusion is decided
+    is refused before its first graph.
     """
-    spec = _checked_spec(theorem, n_min, cmp_tol)
-    if n_min > n_max:
-        raise InfeasibleSpec(f"empty range {n_min}..{n_max}")
     sampling = mode == "sample"
+    spec = _checked_spec(theorem, n_min, n_max, cmp_tol, sampling)
     if mode not in ("exhaustive", "sample"):
         raise InfeasibleSpec(f"unknown mode {mode!r}")
     if spec.floor_n > MAX_EXHAUSTIVE and not sampling:
         raise InfeasibleSpec(f"{theorem} is only checkable in sample mode")
     if sampling:
-        if spec.family_sweep is not None:
-            raise InfeasibleSpec(f"{theorem} sweeps a constructed family only")
         # the whole request, before the split names a per-order share; its
         # smallest seed is the first order's
         _check_sample(n_max, spec.chain, count, None if seed is None else seed + n_min, density)
+    claimed = spec.family_sweep is not None
+    # an exhaustive corpus sweep refuses an order past MAX_EXHAUSTIVE, which
+    # lies below every cap, at its first step with its own message
+    if (sampling or claimed) and spec.max_n is not None and n_max > spec.max_n:
+        raise InfeasibleSpec(
+            f"{theorem} decides its conclusion for n <= {spec.max_n} only, got {n_max}"
+        )
 
     t0 = time.perf_counter()
     checked = 0
     exceptions: list[tuple[str, str]] = []
     borderline: list[str] = []
     orders = range(n_min, n_max + 1)
-    claimed = spec.family_sweep is not None
 
     def consume(g: Graph) -> None:
         nonlocal checked
@@ -710,7 +723,7 @@ def verify(
 
 
 @dataclass(frozen=True)
-class HuntReport:
+class HuntReport(_Report):
     theorem: str
     n: int
     checked: int
@@ -722,17 +735,6 @@ class HuntReport:
     @property
     def passed(self) -> bool:
         return not any(label == "Unmatched" for _, label in self.counterexamples)
-
-    def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "n": self.n,
-            "checked": self.checked,
-            "counterexamples": [list(e) for e in self.counterexamples],
-            "near_misses": [[s, m] for s, m in self.near_misses],
-            "elapsed_ms": self.elapsed_ms,
-            "seed": self.seed,
-        }
 
 
 def hunt(
@@ -750,17 +752,17 @@ def hunt(
     conclusion fails and that match no declared exception, and ranks
     conclusion-violating graphs that just miss the hypothesis by how close
     their margin comes to the threshold, keeping the `top` closest."""
-    spec = _checked_spec(theorem, n, cmp_tol)
+    spec = _checked_spec(theorem, n, n, cmp_tol, sampled=True)
     if top < 0:
         raise InfeasibleSpec(f"top must be >= 0, got {top}")
     if spec.margin is None:
         raise InfeasibleSpec(f"{theorem} has no numeric hypothesis to hunt against")
-    if spec.family_sweep is not None:
-        raise InfeasibleSpec(f"{theorem} sweeps a constructed family only")
     t0 = time.perf_counter()
     checked = 0
-    counterexamples: list[tuple[str, str]] = []
-    misses: list[tuple[float, str]] = []
+    counterexamples: set[tuple[str, str]] = set()
+    # graph6 -> its largest margin: isomorphic relabelings can differ in the
+    # last ulp
+    misses: dict[str, float] = {}
 
     def consume(g: Graph) -> None:
         nonlocal checked
@@ -771,24 +773,19 @@ def hunt(
             return
         if verdict == NO:
             if concl is False:
-                misses.append((margin, _render(g)))
+                s = _render(g)
+                misses[s] = max(margin, misses.get(s, margin))
             return
-        counterexamples.append((_render(g), _exception_label(g, spec)))
+        counterexamples.add((_render(g), _exception_label(g, spec)))
 
     _run_sample(n, spec.chain, count, seed, density, consume)
-    counterexamples = sorted(set(counterexamples))
-    # isomorphic relabelings can differ in the last ulp; dedup by graph only
-    by_graph: dict[str, float] = {}
-    for m, s in misses:
-        if s not in by_graph or m > by_graph[s]:
-            by_graph[s] = m
-    misses = sorted(((m, s) for s, m in by_graph.items()), key=lambda t: (-t[0], t[1]))
+    ranked = sorted(misses.items(), key=lambda t: (-t[1], t[0]))
     return HuntReport(
         theorem=theorem,
         n=n,
         checked=checked,
-        counterexamples=tuple(counterexamples),
-        near_misses=tuple((s, m) for m, s in misses[:top]),
+        counterexamples=tuple(sorted(counterexamples)),
+        near_misses=tuple(ranked[:top]),
         elapsed_ms=int(round((time.perf_counter() - t0) * 1000)),
         seed=seed,
     )

@@ -277,6 +277,9 @@ REFUSED = [
     ["enumerate", "--n", "10", "--mode", "sample", "--count", "2", "--seed", "-1"],
     ["verify", "main-complement", "--mode", "sample", "--n-min", "24", "--n-max", "25",
      "--count", "2", "--seed", "-30"],
+    ["verify", "hamiltonian-family", "--n-min", "9", "--n-max", "30"],
+    ["verify", "brousek-order-9", "--mode", "sample", "--n-min", "24", "--n-max", "26",
+     "--count", "3", "--seed", "0"],
 ]
 
 

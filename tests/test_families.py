@@ -112,6 +112,12 @@ def test_two_triangle_join_arithmetic():
     assert sorted(g.degrees()) == sorted([4, 4, 4, 4, 4, 4, 2, 2, 2])
 
 
+def test_blown_family_at_order_9_is_its_base():
+    # one builder serves both: a K_3 a-side is the a-triangle itself
+    for spec in BROUSEK_BASES:
+        assert brousek_blown(*spec.params, 9) == brousek(*spec.params)
+
+
 def test_blown_family_shape():
     # every order the `hamiltonian-family` sweep verifies (9..22), and on up
     # to the exact solver's cap

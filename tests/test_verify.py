@@ -412,6 +412,42 @@ def test_sample_request_refused_before_the_first_draw(monkeypatch):
     assert draws == []
 
 
+def test_request_past_the_exact_cycle_search_refused_before_its_first_graph(monkeypatch):
+    # both conclusions call has_hamilton_cycle, which is capped at order 24;
+    # the request is refused before a draw or a cycle search, not at order 25
+    draws = []
+    real_sample = enumeration.sample_dense_claw_free
+
+    def counting_sample(*args):
+        draws.append(args)
+        return real_sample(*args)
+
+    monkeypatch.setattr(enumeration, "sample_dense_claw_free", counting_sample)
+    with pytest.raises(InfeasibleSpec, match=r"^BrousekOrder9 .* n <= 24 only, got 26$"):
+        verify("BrousekOrder9", 24, 26, mode="sample", count=30, seed=0)
+    assert draws == []
+
+    searches = []
+    verify_module = importlib.import_module("clawtrace.verify")
+    real_cycle = verify_module.has_hamilton_cycle
+
+    def counting_cycle(g):
+        searches.append(g)
+        return real_cycle(g)
+
+    monkeypatch.setattr(verify_module, "has_hamilton_cycle", counting_cycle)
+    with pytest.raises(InfeasibleSpec, match=r"^HamiltonianFamily .* n <= 24 only, got 30$"):
+        verify("HamiltonianFamily", 9, 30)
+    assert searches == []
+
+
+def test_requests_up_to_the_exact_cycle_search_still_pass():
+    family = verify("HamiltonianFamily", 9, 24)
+    assert family.passed and family.checked == 4 * 16
+    sampled = verify("BrousekOrder9", 20, 20, mode="sample", count=3, seed=0)
+    assert sampled.passed and sampled.checked == 3
+
+
 def test_exception_families_satisfy_hypothesis_violate_conclusion():
     for n in range(7, 11):
         g = nn33(n)
