@@ -6,16 +6,20 @@ candidate vertex in turn.  A partition is a list of vertex masks, and each
 refinement round keys a vertex by one integer, its neighbour counts into the
 cells that just split packed four bits each (see _refine).  Leaves of the
 search tree are complete labellings; the canonical form is the
-lexicographically smallest upper-triangle encoding over all leaves.
-Branch-and-bound on the already-determined encoding prefix plus three exact
-prunings keep the tree small:
+lexicographically smallest upper-triangle encoding over all leaves.  Two
+exact prunings keep the tree small: branch-and-bound on the already
+determined encoding prefix, and twin pruning, which branches on only the
+first member of each twin class in the branching cell (swapping two twins
+is an automorphism; see canonical_labeling).
 
-* only candidates whose adjacency row against the fixed prefix is minimal can
-  start a minimal completion (the row becomes the next encoding column),
-* of each twin class in the branching cell only the first member is
-  branched on (swapping two twins is an automorphism; see
-  canonical_labeling), and
-* children refining to the identical ordered partition are explored once.
+The search needs no other check, because every partition it visits comes
+out of _refine and so is equitable.  Each vertex of the fixed prefix is a
+singleton cell, so all candidates of a branching cell have the same row
+against the prefix: a node has one next encoding column, and no candidate
+is worse on it than another.  And the cells before the branching position
+are singletons, which never split, so each candidate v is still the
+singleton {v} at that position after refinement: no two children refine to
+the same partition.
 
 Exponential in the worst case, which the n <= 16 cap makes acceptable.
 """
@@ -148,9 +152,6 @@ def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
             f"canonical labelling capped at n <= {MAX_CANONICAL}, got {g.n}"
         )
     n = g.n
-    if n == 1:
-        return (), (0,)
-
     adj = g.adj
     twins = earlier_twins(g)
     best_enc: list[int] | None = None
@@ -179,6 +180,15 @@ def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 best_cells = cells
             return
         cell = cells[k]
+        # the cell has one row against the run, the next encoding column of
+        # every completion; if the prefix ties the best leaf, a column worse
+        # than the best's column k loses
+        row, col = adj[cell.bit_length() - 1], 0
+        for u in run:
+            col = col << 1 | row >> u & 1
+        tied = best_enc is not None and prefix == best_enc[: len(prefix)]
+        if k > 0 and tied and col > best_enc[k - 1]:
+            return
         # Twins u < v of one cell: the transposition (u v) fixes every other
         # vertex, so it is an automorphism that maps this partition to itself
         # and the subtree of v onto the subtree of u, leaf for leaf with equal
@@ -186,30 +196,11 @@ def canonical_labeling(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
         # equivalence, so the first member u of v's class in the cell is
         # branched on before v, and u's subtree already holds the first
         # minimal leaf of the two; skipping v changes neither the encoding
-        # nor the labels.  (Twins have equal rows against the prefix, so u
-        # is a candidate when v is, and the least row stays the same.)
-        cols = []
+        # nor the labels.
         for v in range(n):
             if cell >> v & 1 and not twins[v] & cell:
-                row, col = adj[v], 0
-                for u in run:
-                    col = col << 1 | row >> u & 1
-                cols.append((col, v))
-        low = min(c for c, _ in cols)
-        # the next encoding column of any completion is the candidate's row
-        # against the fixed prefix, so only minimal rows can win; if the prefix
-        # ties the best leaf, a minimal row worse than the best's column k loses
-        if k > 0 and best_enc is not None and prefix == best_enc[: len(prefix)]:
-            if low > best_enc[k - 1]:
-                return
-        seen: set[tuple[int, ...]] = set()
-        for c, v in cols:
-            if c != low:
-                continue
-            refined = _refine(g, cells[:k] + [1 << v, cell & ~(1 << v)] + cells[k + 1:], (k,))
-            if tuple(refined) not in seen:
-                seen.add(tuple(refined))
-                visit(refined, prefix + [c])
+                split = cells[:k] + [1 << v, cell & ~(1 << v)] + cells[k + 1:]
+                visit(_refine(g, split, (k,)), prefix + [col])
 
     initial = _initial_cells(g)
     visit(_refine(g, initial, range(len(initial))), [])

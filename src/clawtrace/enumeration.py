@@ -316,25 +316,29 @@ def exhaustive_orders(
     augmentation sweep: every level is built once, however many orders are
     read, and one worker pool serves all levels.  The checkpoint applies to
     the last (most expensive) level only.  An unknown predicate, 'closed'
-    without 'claw-free', n_min < 1 or n_max > MAX_EXHAUSTIVE raises
-    InfeasibleSpec at the first step, before any pool starts or checkpoint
-    opens."""
+    without 'claw-free', n_min < 1, n_max > MAX_EXHAUSTIVE or workers < 1
+    raises InfeasibleSpec at the first step, before any pool starts or
+    checkpoint opens; so does a checkpoint written for another run, at any
+    order, before any pool starts or level is built."""
     _check_chain(chain)
     if n_min < 1:
         raise InfeasibleSpec(f"order must be positive, got {n_min}")
     if n_max > MAX_EXHAUSTIVE:
         raise InfeasibleSpec(f"exhaustive mode capped at n <= {MAX_EXHAUSTIVE}, got {n_max}")
+    if workers < 1:
+        raise InfeasibleSpec(f"workers must be >= 1, got {workers}")
     with ExitStack() as stack:
+        done, ck = {}, None
+        if checkpoint is not None:
+            done, ck = _open_checkpoint(checkpoint, n_max, chain)
+            stack.enter_context(ck)
         imap = stack.enter_context(Pool(workers)).imap if workers > 1 else map
         k1 = from_edges(1, ())
         frontier: list[Node] = [(k1, k1.adj)]  # K1 is its own canonical form
         for order in range(1, n_max + 1):
             if order > 1:
-                done, ck = {}, None
-                if checkpoint is not None and order == n_max:
-                    done, ck = _open_checkpoint(checkpoint, n_max, chain)
-                    stack.enter_context(ck)
-                frontier = _expand_level(frontier, chain, imap, done, ck)
+                resume = (done, ck) if order == n_max else ({}, None)
+                frontier = _expand_level(frontier, chain, imap, *resume)
             if order >= n_min:
                 yield [g for g, _ in frontier if _emission_ok(g, chain)]
 

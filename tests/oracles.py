@@ -115,6 +115,10 @@ def brute_force_isomorphic(g: Graph, h: Graph, cap: int = 8) -> bool:
 
 
 def _induced_matches(g: Graph, vertices: tuple[int, ...], pattern: Graph) -> bool:
+    # an induced copy has the pattern's degrees: skip the orderings otherwise
+    inside = sum(1 << v for v in vertices)
+    if sorted(bin(g.adj[v] & inside).count("1") for v in vertices) != sorted(pattern.degrees()):
+        return False
     for perm in itertools.permutations(vertices):
         if all(
             g.has_edge(perm[i], perm[j]) == pattern.has_edge(i, j)

@@ -280,6 +280,7 @@ REFUSED = [
     ["verify", "hamiltonian-family", "--n-min", "9", "--n-max", "30"],
     ["verify", "brousek-order-9", "--mode", "sample", "--n-min", "24", "--n-max", "26",
      "--count", "3", "--seed", "0"],
+    ["enumerate", "--n", "6", "--workers", "0", "--checkpoint", "F"],
 ]
 
 
@@ -290,6 +291,16 @@ def test_refused_request_exits_2_and_writes_nothing(argv, capsys, monkeypatch, t
     assert cli.run(argv) == 2
     assert capsys.readouterr().out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_foreign_checkpoint_refused_at_order_1(capsys, tmp_path):
+    # order 1 expands no level, and the file is still checked and left as is
+    ck = tmp_path / "F"
+    ck.write_bytes(b"garbage\n")
+    assert cli.run(["enumerate", "--n", "1", "--checkpoint", str(ck)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "another run" in err
+    assert ck.read_bytes() == b"garbage\n"
 
 
 # ---------------------------------------------------------------------------
@@ -558,3 +569,60 @@ def test_console_script_roundtrip():
     r = clawtrace_cli("verify", "mystery", "--n-min", "2", "--n-max", "3")
     assert r.returncode == 2
     assert "unknown theorem" in r.stderr
+
+
+# ---------------------------------------------------------------------------
+# text renderers
+
+
+RENDERED = [
+    (["closure", "D|c"], 0,
+     "step 0: complete vertex 0, add (1,3) (1,4) (2,4)\n"
+     "closed: D~{\n"),
+    (["spectral", "E@UW"], 0,
+     "mu = 2.414213562373  (iterations=0, converged=True)\n"),
+    (["spectral", "E@UW", "--complement"], 0,
+     "mu(complement) = 3.236067977500  (iterations=0, converged=True)\n"),
+    (["hunt", "--theorem", "main-mu", "--n", "8", "--seed", "3", "--count", "40",
+      "--density", "0.3"], 0,
+     "theorem: MainMuG\n"
+     "n: 8\n"
+     "checked: 40\n"
+     "counterexamples (0):\n"
+     "near misses (2):\n"
+     "  G@?Y[[  margin=-0.756076\n"
+     "  G?KQKK  margin=-1.555766\n"
+     "result: PASS\n"),
+    # one Unmatched exception, also borderline, among eight borderline graphs
+    (["verify", "ning-ge", "--n-min", "8", "--n-max", "8", "--workers", "1"], 1,
+     "theorem: NingGe\n"
+     "n_range: [8, 8]\n"
+     "mode: Exhaustive\n"
+     "checked: 11117\n"
+     "exceptions (2):\n"
+     "  G?B~~{  Unmatched\n"
+     "  G@Kx~{  NingGe(8)\n"
+     "borderline (8):\n"
+     "  G?B~~{\n"
+     "  G?\\||{\n"
+     "  GBjF~{\n"
+     "  GFznno\n"
+     "  GJaN~{\n"
+     "  GK~vno\n"
+     "  GLvnno\n"
+     "  G`K~~w\n"
+     "elapsed_ms: _\n"
+     "result: FAIL\n"),
+    (["enumerate", "--n", "4", "--format", "json"], 0,
+     "".join(f'{{"graph6": "{s}"}}\n' for s in ("Cq", "Cu", "Cr", "Cv", "C~"))),
+]
+
+
+@pytest.mark.parametrize("argv, code, want", RENDERED,
+                         ids=[" ".join(argv) for argv, _, _ in RENDERED])
+def test_rendered_output_is_frozen(argv, code, want, capsys, monkeypatch):
+    # regression-only: the exact stdout, with the run time blanked
+    monkeypatch.delenv("CMP_TOL", raising=False)
+    assert cli.run(argv) == code
+    out = re.sub(r"^elapsed_ms: \d+$", "elapsed_ms: _", capsys.readouterr().out, flags=re.M)
+    assert out == want

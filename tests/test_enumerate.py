@@ -19,7 +19,7 @@ from clawtrace.graph6 import encode
 from clawtrace.structure import find_induced, is_claw_free, is_closed
 
 import frozen
-from oracles import edge_list, exhaustive_list
+from oracles import edge_list, exhaustive_list, find_induced_brute
 
 
 def test_frozen_counts_default_chain(corpus):
@@ -150,6 +150,18 @@ def test_checkpoint_from_another_run_is_rejected(tmp_path):
         exhaustive_list(6, checkpoint=str(legacy))
 
 
+@pytest.mark.parametrize("n", [1, 7])
+def test_foreign_checkpoint_refused_before_any_level(n, tmp_path, monkeypatch):
+    ck = tmp_path / "level.ck"
+    ck.write_bytes(b"garbage\n")
+    levels = []
+    monkeypatch.setattr(enumeration, "_expand_level", lambda *args: levels.append(args))
+    with pytest.raises(InfeasibleSpec, match="another run"):
+        exhaustive_list(n, checkpoint=str(ck))
+    assert levels == []
+    assert ck.read_bytes() == b"garbage\n"
+
+
 def test_checkpoint_torn_last_line_is_redone(tmp_path):
     ck = tmp_path / "level.ck"
     base = [encode(g) for g in exhaustive_list(7, checkpoint=str(ck))]
@@ -204,6 +216,9 @@ def test_validation_errors():
         exhaustive_list(MAX_EXHAUSTIVE + 1)
     with pytest.raises(InfeasibleSpec):
         exhaustive_list(0)
+    for workers in (0, -3):
+        with pytest.raises(InfeasibleSpec, match=rf"^workers must be >= 1, got {workers}$"):
+            exhaustive_list(5, workers=workers)
     chain = ("connected", "claw-free")
     with pytest.raises(InfeasibleSpec):
         _run_sample(MAX_SAMPLE + 1, chain, 1, 0, 0.9, lambda g: None)
@@ -294,3 +309,36 @@ def test_sample_mode_deterministic_stream():
         return [encode(g) for g in acc]
 
     assert run() == run()
+
+
+def _counted_draws(monkeypatch) -> list:
+    draws = []
+    draw = enumeration.sample_dense_claw_free
+
+    def counted(*args):
+        draws.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(enumeration, "sample_dense_claw_free", counted)
+    return draws
+
+
+@pytest.mark.parametrize("name", ["net-free", "m-free"])
+def test_sample_mode_rejects_draws_with_the_pattern(name, monkeypatch):
+    # at density 0.2 the sampler draws a net for 18 of seeds 0..99 and an M
+    # for 8, so both rejections run before the twentieth graph is emitted
+    pattern = net() if name == "net-free" else graph_m()
+    draws = _counted_draws(monkeypatch)
+    got = []
+    assert _run_sample(12, ("connected", "claw-free", name), 20, 0, 0.2, got.append) == 20
+    assert len(got) == 20 and len(draws) > 20
+    for g in got:
+        assert not find_induced_brute(g, pattern)
+
+
+def test_sample_mode_gives_up_after_its_rejection_limit(monkeypatch):
+    # the sparse draws at n = 20 are never closed
+    draws = _counted_draws(monkeypatch)
+    with pytest.raises(InfeasibleSpec, match=r"^sampler rejected 200 candidates before reaching count=1$"):
+        _run_sample(20, ("connected", "claw-free", "closed"), 1, 0, 0.3, lambda g: None)
+    assert len(draws) == 200

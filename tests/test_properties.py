@@ -6,9 +6,10 @@ blocks and the components under a vertex mask; the removal rule is written out
 here from canonical_labeling and canonical_form, not taken from the
 enumerator.  The claw test is checked against the brute-force triple scan,
 the path closure against an all-pairs fixpoint loop, the partition
-refinement against a recount of every vertex against every cell, the twin
-masks and vertex keys against their pairwise definitions, and the cascade
-against the exact Hamilton path solver.
+refinement against a recount of every vertex against every cell and against
+the definition of an equitable partition, the twin masks and vertex keys
+against their pairwise definitions, and the cascade against the exact
+Hamilton path solver.
 """
 import math
 
@@ -218,6 +219,35 @@ def test_refinement_against_fresh_cells_matches_recounting_every_cell(g):
             # cell, the split's last part, may be named too
             assert _as_tuples(_refine(g, _as_masks(child), (k,))) == want
             assert _as_tuples(_refine(g, _as_masks(child), (k, k + 1))) == want
+
+
+def _is_equitable(g: Graph, cells: tuple) -> bool:
+    """Every cell's members have equal neighbour counts into every cell."""
+    return all(
+        len({sum(g.has_edge(v, u) for u in other) for v in cell}) == 1
+        for cell in cells
+        for other in cells
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(graphs(min_n=2), graphs_with_twins(max_n=12)))
+def test_the_search_branches_on_equitable_partitions(g):
+    # canonical_labeling relies on this: the candidates of a branching cell
+    # share their row against the singleton cells before it, so a node has
+    # one next column, and each candidate stays a singleton at the branching
+    # position, so no two children refine to the same partition
+    initial = _initial_cells(g)
+    cells = _refine(g, initial, range(len(initial)))
+    assert _is_equitable(g, _as_tuples(cells))
+    for k, cell in enumerate(cells):
+        # the search branches on the first non-singleton cell only
+        first = all(c & (c - 1) == 0 for c in cells[:k])
+        for v in range(g.n):
+            if cell >> v & 1 and cell & (cell - 1):
+                child = _refine(g, cells[:k] + [1 << v, cell & ~(1 << v)] + cells[k + 1:], (k,))
+                assert _is_equitable(g, _as_tuples(child))
+                assert child[k] == 1 << v or not first
 
 
 @settings(max_examples=300, deadline=None)
